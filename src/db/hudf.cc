@@ -50,7 +50,7 @@ obs::JobTraceRecord MakeJobRecord(obs::TraceId trace,
 /// One submitted (or degraded) slice of a batched query.
 struct Slice {
   JobParams params;  // kept alive across resubmissions
-  FpgaJob job;       // invalid when the submit itself degraded
+  FpgaJob job;       // invalid when the submit degraded or once awaited
   JobOutcome outcome;
   bool fallback = false;
 };
@@ -278,7 +278,7 @@ Status RegexpFpgaBatch(Hal* hal,
       Result<FpgaJob> job =
           SubmitJobWithRetry(hal->device(), params, policy, &slice.outcome);
       if (job.ok()) {
-        slice.job = *job;
+        slice.job = std::move(*job);
       } else if (IsFallbackEligible(job.status())) {
         slice.fallback = true;
       } else {
@@ -330,6 +330,7 @@ Status RegexpFpgaBatch(Hal* hal,
         } else {
           return fail(st);
         }
+        slice.job.Release();
       }
       out.stats.job_retries += slice.outcome.retries;
       if (slice.outcome.ok && slice.outcome.fault_seen) {
@@ -536,7 +537,7 @@ Status RegexpFpgaBatchPooled(Hal* hal,
     Result<FpgaJob> job = SubmitJobWithRetry(pool->device(d), slice->params,
                                              policy, &slice->outcome);
     if (job.ok()) {
-      slice->job = *job;
+      slice->job = std::move(*job);
       inflight[static_cast<size_t>(d)].push_back(slice);
       pool->NoteInflight(d, +1);
       return true;
@@ -648,6 +649,7 @@ Status RegexpFpgaBatchPooled(Hal* hal,
       } else {
         return fail(st);
       }
+      slice->job.Release();
       slice->resolved = true;
       --remaining;
       progress = true;
@@ -812,7 +814,7 @@ Result<HudfResult> RegexpFpga(Hal* hal, const Bat& input,
   Stopwatch wait_watch;
   bool fallback = false;
   if (job.ok()) {
-    FpgaJob handle = *job;
+    FpgaJob handle = std::move(*job);
     Status wait_status = AwaitJobWithRecovery(hal->device(), &handle, params,
                                               policy, &outcome);
     if (wait_status.ok()) {

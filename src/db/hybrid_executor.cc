@@ -146,7 +146,7 @@ std::optional<HybridResult> TryPrefilterRefine(
     Stopwatch refine_watch;
     HostSliceInfo info;
     auto matches = RunHostCandidates(
-        hal->device_config(), input, rows, block->values.data(), *program,
+        input, rows, block->values.data(), *program,
         reinterpret_cast<uint16_t*>((*result)->mutable_tail_data()), &info);
     if (!matches.ok()) break;
 

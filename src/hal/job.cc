@@ -38,6 +38,13 @@ Status FpgaJob::Wait(SimTime deadline) {
   return Status::OK();
 }
 
+void FpgaJob::Release() {
+  if (device_ == nullptr) return;
+  device_->ReleaseJob(id_);
+  device_ = nullptr;
+  id_ = -1;
+}
+
 Status FpgaJob::Cancel() {
   DOPPIO_CHECK(valid());
   return device_->CancelJob(id_);

@@ -2,16 +2,40 @@
 // lets the UDF busy-wait on the done bit and read execution statistics.
 #pragma once
 
+#include <utility>
+
 #include "common/status.h"
 #include "hw/fpga_device.h"
 #include "hw/job.h"
 
 namespace doppio {
 
+/// Move-only: the handle is the host's reference to the job's records on
+/// the device. Destroying it (or calling Release()) hands the job back,
+/// and the device frees the records once it no longer points at them
+/// either (FpgaDevice::ReleaseJob). A handle must not outlive its device.
 class FpgaJob {
  public:
   FpgaJob() = default;
   FpgaJob(FpgaDevice* device, JobId id) : device_(device), id_(id) {}
+  ~FpgaJob() { Release(); }
+
+  FpgaJob(FpgaJob&& other) noexcept
+      : device_(std::exchange(other.device_, nullptr)), id_(other.id_) {}
+  FpgaJob& operator=(FpgaJob&& other) noexcept {
+    if (this != &other) {
+      Release();
+      device_ = std::exchange(other.device_, nullptr);
+      id_ = other.id_;
+    }
+    return *this;
+  }
+  FpgaJob(const FpgaJob&) = delete;
+  FpgaJob& operator=(const FpgaJob&) = delete;
+
+  /// Ends the host's use of the job: status() must not be read through
+  /// this handle again, which becomes invalid. No-op on an invalid handle.
+  void Release();
 
   bool valid() const { return device_ != nullptr; }
   JobId id() const { return id_; }

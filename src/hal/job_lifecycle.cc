@@ -148,7 +148,9 @@ Status AwaitJobWithRecovery(FpgaDevice* device, FpgaJob* job,
       outcome->final_status = retry.status();
       return retry.status();
     }
-    *job = *retry;
+    // Replacing the handle releases the cancelled attempt: its record is
+    // reclaimed once the distributor skips it or its engine frees.
+    *job = std::move(*retry);
   }
 }
 
@@ -161,9 +163,9 @@ JobOutcome RunJobWithRetry(FpgaDevice* device, const JobParams& params,
     outcome.final_status = job.status();
     return outcome;
   }
-  FpgaJob handle = *job;
+  FpgaJob handle = std::move(*job);
   (void)AwaitJobWithRecovery(device, &handle, params, policy, &outcome);
-  if (job_out != nullptr) *job_out = handle;
+  if (job_out != nullptr) *job_out = std::move(handle);
   return outcome;
 }
 

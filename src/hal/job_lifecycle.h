@@ -77,14 +77,16 @@ Result<FpgaJob> SubmitJobWithRetry(FpgaDevice* device,
 /// cancels the attempt, backs off, resubmits `params` and waits again,
 /// until the shared retry budget in `outcome` is exhausted. On success the
 /// final attempt's JobStatus carries the retry count; `job` addresses it.
-/// Deadlines are computed on the clock (and engine count) of the job's
-/// own device; `device` is only where expired attempts are resubmitted —
-/// pool callers pass the slice's owning device for both.
+/// Each abandoned attempt's handle is released as `job` moves on to the
+/// resubmission. Deadlines are computed on the clock (and engine count)
+/// of the job's own device; `device` is only where expired attempts are
+/// resubmitted — pool callers pass the slice's owning device for both.
 Status AwaitJobWithRecovery(FpgaDevice* device, FpgaJob* job,
                             const JobParams& params,
                             const RetryPolicy& policy, JobOutcome* outcome);
 
-/// Convenience: full lifecycle (submit + await) for one job.
+/// Convenience: full lifecycle (submit + await) for one job. The final
+/// attempt's handle moves into `job_out`, or is released when it is null.
 JobOutcome RunJobWithRetry(FpgaDevice* device, const JobParams& params,
                            const RetryPolicy& policy, FpgaJob* job_out);
 

@@ -146,22 +146,45 @@ Result<JobId> FpgaDevice::Submit(JobParams params,
   record->params = std::move(params);
   record->status.device_id = device_id_;
   JobRecord* raw = record.get();
-  JobId id = static_cast<JobId>(jobs_.size());
-  jobs_.push_back(std::move(record));
-  Status st =
-      distributor_->Enqueue(&raw->params, &raw->status, std::move(on_done));
+  const JobId id = next_job_id_;
+  jobs_.emplace(id, std::move(record));
+  Status st = distributor_->Enqueue(
+      &raw->params, &raw->status,
+      [this, id, on_done = std::move(on_done)](bool done) {
+        if (done && on_done) on_done();
+        DropReference(id, /*host=*/false);
+      });
   if (!st.ok()) {
-    jobs_.pop_back();
+    jobs_.erase(id);
     return st;
   }
+  ++next_job_id_;
   JobsSubmittedCounter().Add();
   return id;
 }
 
+void FpgaDevice::ReleaseJob(JobId id) {
+  std::lock_guard<std::recursive_mutex> lock(sim_mutex_);
+  DropReference(id, /*host=*/true);
+}
+
+void FpgaDevice::DropReference(JobId id, bool host) {
+  auto it = jobs_.find(id);
+  if (it == jobs_.end()) return;
+  JobRecord& record = *it->second;
+  (host ? record.host_released : record.device_released) = true;
+  if (record.host_released && record.device_released) jobs_.erase(it);
+}
+
+int64_t FpgaDevice::live_jobs() const {
+  std::lock_guard<std::recursive_mutex> lock(sim_mutex_);
+  return static_cast<int64_t>(jobs_.size());
+}
+
 JobStatus* FpgaDevice::status(JobId id) {
   std::lock_guard<std::recursive_mutex> lock(sim_mutex_);
-  if (id < 0 || id >= static_cast<JobId>(jobs_.size())) return nullptr;
-  return &jobs_[static_cast<size_t>(id)]->status;
+  auto it = jobs_.find(id);
+  return it == jobs_.end() ? nullptr : &it->second->status;
 }
 
 SimTime FpgaDevice::RunToIdle() {

@@ -7,11 +7,11 @@
 // clock. Host wall-clock plays no role on this side of the system.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/macros.h"
@@ -43,10 +43,22 @@ class FpgaDevice {
   DOPPIO_DISALLOW_COPY_AND_ASSIGN(FpgaDevice);
 
   /// Enqueues a job at the current virtual time. The device stores the
-  /// parameter/status blocks; the returned id addresses them. `on_done`
-  /// (optional) fires on the virtual scheduler at completion.
+  /// parameter/status blocks; the returned id addresses them until the
+  /// job is reclaimed (see ReleaseJob). `on_done` (optional) fires on the
+  /// virtual scheduler when the done bit is set.
   Result<JobId> Submit(JobParams params,
                        std::function<void()> on_done = nullptr);
+
+  /// The host is done with job `id`: it will not read its status block
+  /// again. The record is freed as soon as the device no longer points at
+  /// it either — once the job is done, dropped, or skipped by the Job
+  /// Distributor as cancelled — so the job table holds at most the jobs
+  /// in flight plus those whose host handle is still open. Unknown or
+  /// already released ids are ignored.
+  void ReleaseJob(JobId id);
+
+  /// Job records currently held (submitted and not yet reclaimed).
+  int64_t live_jobs() const;
 
   /// Hardware side of the AAL handshake: publishes the AFU id into the
   /// Device Status Memory and attaches it for diagnostics mirroring.
@@ -59,7 +71,8 @@ class FpgaDevice {
   /// Per-engine utilization summary over [0, now()].
   std::string UtilizationSummary() const;
 
-  /// Status block of a job (valid for the device's lifetime).
+  /// Status block of a job; valid until the job is reclaimed, null for an
+  /// unknown or reclaimed id.
   JobStatus* status(JobId id);
 
   /// Advances virtual time until all submitted work is done.
@@ -94,10 +107,12 @@ class FpgaDevice {
   const QpiLink& qpi() const { return qpi_; }
   const RegexEngine& engine(int i) const { return *engines_[i]; }
   JobDistributor* distributor() { return distributor_.get(); }
-  int64_t jobs_submitted() const { return static_cast<int64_t>(jobs_.size()); }
 
  private:
   Status ValidateJob(const JobParams& params) const;
+  /// Marks the host's (`host`) or the device's side as done with job `id`
+  /// and frees the record once both are. Caller holds sim_mutex_.
+  void DropReference(JobId id, bool host);
 
   /// Serializes access to the virtual-time machinery. Multiple host
   /// threads may Submit/WaitForJob concurrently (the paper's multi-client
@@ -119,8 +134,11 @@ class FpgaDevice {
   struct JobRecord {
     JobParams params;
     JobStatus status;
+    bool host_released = false;    // ReleaseJob() was called
+    bool device_released = false;  // the device stopped pointing at it
   };
-  std::deque<std::unique_ptr<JobRecord>> jobs_;
+  std::unordered_map<JobId, std::unique_ptr<JobRecord>> jobs_;
+  JobId next_job_id_ = 0;
 
   /// Submission sequence for the fault plan's transient-Submit lottery.
   std::atomic<uint64_t> submit_seq_{0};

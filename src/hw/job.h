@@ -77,9 +77,11 @@ struct JobStatus {
   int64_t bytes_streamed = 0;       // heap + offset + result traffic
 
   // Functional-pass observability (simulator implementation detail, not
-  // modeled hardware time): which compiled kernel served the job, the
-  // payload it matched, and the host wall-clock it took.
-  const char* pu_kernel = "";       // PuKernelName() literal
+  // modeled hardware time): the PU kernel class of the loaded program
+  // (PuKernelName(): "literal", "lazy-dfa" or "nfa-loop") — not the host
+  // kernel that computed the results — the payload matched, and the host
+  // wall-clock it took.
+  const char* pu_kernel = "";
   int64_t functional_bytes = 0;
   double functional_host_seconds = 0;
   int64_t engine_id = -1;

@@ -64,22 +64,21 @@ void JobDistributor::UpdateIdleMirror() {
 }
 
 Status JobDistributor::Enqueue(JobParams* params, JobStatus* status,
-                               std::function<void()> on_done) {
+                               ReleaseFn on_release) {
   status->enqueue_time = scheduler_->now();
   JobDescriptor descriptor;
   descriptor.params_addr = reinterpret_cast<uint64_t>(params);
   descriptor.status_addr = reinterpret_cast<uint64_t>(status);
   descriptor.job_id = next_job_id_++;
   status->queue_job_id = descriptor.job_id;
-  if (on_done) callbacks_[descriptor.job_id] = std::move(on_done);
   if (!queue_->Push(descriptor)) {
-    callbacks_.erase(descriptor.job_id);
     QueueRejectedCounter().Add();
     // Typed back-pressure: the ring is bounded by design and never grows;
     // callers (the retry lifecycle, the scheduler) wait out the drain.
     return Status::ResourceExhausted(
         "shared job queue full: too many outstanding FPGA jobs");
   }
+  if (on_release) on_release_[descriptor.job_id] = std::move(on_release);
   JobsEnqueuedCounter().Add();
   QueueDepthHistogram().Observe(static_cast<double>(queue_->Size()));
   if (trace_ != nullptr) {
@@ -91,6 +90,14 @@ Status JobDistributor::Enqueue(JobParams* params, JobStatus* status,
   scheduler_->ScheduleAfter(PicosFromSeconds(device_.job_poll_sec),
                             [this] { TryDispatch(); });
   return Status::OK();
+}
+
+void JobDistributor::Release(uint64_t job_id, bool done) {
+  auto it = on_release_.find(job_id);
+  if (it == on_release_.end()) return;
+  ReleaseFn on_release = std::move(it->second);
+  on_release_.erase(it);
+  on_release(done);
 }
 
 void JobDistributor::TryDispatch() {
@@ -116,8 +123,8 @@ void JobDistributor::TryDispatch() {
       // The HAL gave up on this attempt (deadline expired, requeued): a
       // cancelled descriptor is discarded, never dispatched, so the retry
       // does not race a stale execution for the engine.
-      callbacks_.erase(descriptor.job_id);
       CancelledSkippedCounter().Add();
+      Release(descriptor.job_id, /*done=*/false);
       continue;
     }
     ++jobs_dispatched_;
@@ -139,15 +146,9 @@ void JobDistributor::TryDispatch() {
                                   TraceEvent::Kind::kJobDone, id,
                                   engine->id(), 0});
       }
-      auto it = callbacks_.find(id);
-      std::function<void()> on_done;
-      if (it != callbacks_.end()) {
-        on_done = std::move(it->second);
-        callbacks_.erase(it);
-      }
-      // A dropped job's completion callback must never fire — the caller
-      // sees it only through the missing done bit.
-      if (on_done && !dropped) on_done();
+      // A dropped job never sets its done bit — the caller sees it only
+      // through the missing done bit.
+      Release(id, /*done=*/!dropped);
       // A job finished (or vanished): an engine is idle again.
       TryDispatch();
     });
@@ -155,12 +156,7 @@ void JobDistributor::TryDispatch() {
       DOPPIO_LOG(Error) << "job dispatch failed: " << st.ToString();
       status->error = st;
       status->done.store(1, std::memory_order_release);
-      auto it = callbacks_.find(id);
-      if (it != callbacks_.end()) {
-        auto on_done = std::move(it->second);
-        callbacks_.erase(it);
-        if (on_done) on_done();
-      }
+      Release(id, /*done=*/true);
     }
   }
   UpdateIdleMirror();

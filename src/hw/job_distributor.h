@@ -28,13 +28,18 @@ class JobDistributor {
 
   DOPPIO_DISALLOW_COPY_AND_ASSIGN(JobDistributor);
 
+  /// Fires once per enqueued job, in virtual time, when the device stops
+  /// pointing at its params/status blocks: after the done bit is set
+  /// (`done` true), or once the job was dropped or skipped as cancelled
+  /// (`done` false). A job on a stalled engine is never released.
+  using ReleaseFn = std::function<void(bool done)>;
+
   /// Enqueues a job descriptor at the scheduler's current virtual time.
-  /// `on_done` fires (in virtual time) when the engine sets the done bit.
   /// Fails with ResourceExhausted when the shared ring is full — the ring
   /// never grows past its capacity; the HAL surfaces the back-pressure to
   /// the caller (retry lifecycle / scheduler), which waits out the drain.
-  Status Enqueue(JobParams* params, JobStatus* status,
-                 std::function<void()> on_done);
+  /// `on_release` does not fire for a rejected job.
+  Status Enqueue(JobParams* params, JobStatus* status, ReleaseFn on_release);
 
   /// Mirrors diagnostics into the Device Status Memory once a session is
   /// established.
@@ -49,12 +54,14 @@ class JobDistributor {
  private:
   void TryDispatch();
   void UpdateIdleMirror();
+  /// Runs and forgets descriptor `job_id`'s release callback.
+  void Release(uint64_t job_id, bool done);
 
   SimScheduler* scheduler_;
   DeviceConfig device_;
   std::vector<RegexEngine*> engines_;
   std::unique_ptr<SharedJobQueue> queue_;
-  std::map<uint64_t, std::function<void()>> callbacks_;
+  std::map<uint64_t, ReleaseFn> on_release_;
   uint64_t next_job_id_ = 1;
   int64_t jobs_dispatched_ = 0;
   DeviceStatusMemory* dsm_ = nullptr;

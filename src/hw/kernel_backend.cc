@@ -294,8 +294,7 @@ Result<int64_t> RunHostSlice(const DeviceConfig& device,
 }
 
 Result<int64_t> RunHostCandidates(
-    const DeviceConfig& device, const Bat& input, int64_t rows,
-    const uint16_t* candidates,
+    const Bat& input, int64_t rows, const uint16_t* candidates,
     std::shared_ptr<const CompiledPuProgram> program, uint16_t* result,
     HostSliceInfo* info) {
   if (candidates == nullptr || result == nullptr || program == nullptr) {

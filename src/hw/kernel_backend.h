@@ -6,7 +6,8 @@
 // lazy-dfa vs nfa-loop) and once ad hoc at every host-execution call
 // site (HUDF fallback slices, the scheduler's host-pool route, the
 // hybrid executor's software scan). The registry makes the choice
-// explicit and single-sourced:
+// explicit and single-sourced; the simulated device's functional pass
+// (hw/regex_engine) computes its results through it as well:
 //
 //   * cpu-scalar — ProcessingUnit's compiled kernels (literal substring,
 //     lazy DFA, NFA loop). Always available; the reference host backend.
@@ -22,8 +23,9 @@
 //     identity, routing and forcing.
 //
 // `DOPPIO_FORCE_BACKEND=scalar|simd|fpga` pins the choice process-wide:
-// scalar/simd constrain every host execution; fpga disables cost-model
-// CPU routing so eligible work stays on the device.
+// scalar/simd constrain every host execution, the device's functional
+// pass included; fpga disables cost-model CPU routing so eligible work
+// stays on the device.
 #pragma once
 
 #include <memory>
@@ -120,10 +122,9 @@ struct HostSliceInfo {
 
 /// Executes one job slice on the host through the registry-chosen
 /// backend, writing raw 16-bit match indexes into the slice's result
-/// range — bit-identical to the hardware functional pass by
-/// construction. `program` reuses an already-compiled program; when null
-/// the slice's config bytes are compiled on the spot. Returns the
-/// slice's match count.
+/// range — the same kernels the device's functional pass runs. `program`
+/// reuses an already-compiled program; when null the slice's config bytes
+/// are compiled on the spot. Returns the slice's match count.
 Result<int64_t> RunHostSlice(const DeviceConfig& device,
                              const JobParams& params,
                              std::shared_ptr<const CompiledPuProgram> program =
@@ -140,8 +141,7 @@ Result<int64_t> RunHostSlice(const DeviceConfig& device,
 /// subsumption precondition the output is bit-identical to a full scan.
 /// Writes one uint16 per row into `result` and returns the match count.
 Result<int64_t> RunHostCandidates(
-    const DeviceConfig& device, const Bat& input, int64_t rows,
-    const uint16_t* candidates,
+    const Bat& input, int64_t rows, const uint16_t* candidates,
     std::shared_ptr<const CompiledPuProgram> program, uint16_t* result,
     HostSliceInfo* info = nullptr);
 

@@ -1,7 +1,8 @@
-// Output Collector (paper §5.1): gathers 16-bit match indexes from the
-// per-PU result FIFOs in round-robin order — guaranteeing results leave in
-// input order — and packs 32 of them per 512-bit cache line written to the
-// result column.
+// Output Collector (paper §5.1): in hardware it gathers 16-bit match
+// indexes from the per-PU result FIFOs in round-robin order — guaranteeing
+// results leave in input order — and packs 32 of them per 512-bit cache
+// line written to the result column. The simulator appends them in input
+// order directly.
 #pragma once
 
 #include <cstdint>

@@ -6,14 +6,19 @@
 // the fully connected State Graph; both are loaded from the configuration
 // vector at job start (~300 ns, modelled in the engine timing).
 //
-// The loaded program lives in an immutable CompiledPuProgram shared by all
-// PUs of an engine (hw/pu_kernel.h); only the per-string dynamic state is
-// per-PU. ConsumeByte is the cycle-exact interpreter: byte i of a string
-// is processed in PU cycle i. ProcessString produces the same 16-bit
-// result through the cheapest compiled kernel (literal substring search,
-// lazy DFA, or the interpreter's bit-parallel loop) while preserving the
-// constant-consumption cycle accounting — a pure functional-path
-// optimization; simulated timing never observes which kernel ran.
+// The loaded program lives in an immutable CompiledPuProgram
+// (hw/pu_kernel.h) that any number of PUs may share; only the per-string
+// dynamic state is per-PU. ConsumeByte is the cycle-exact interpreter:
+// byte i of a string is processed in PU cycle i. ProcessString produces
+// the same 16-bit result through the cheapest compiled kernel (literal
+// substring search, lazy DFA, or the interpreter's bit-parallel loop)
+// while preserving the constant-consumption cycle accounting.
+//
+// This class is the scalar reference for the PU function. The engine does
+// not hold a bank of PUs: its functional pass runs the kernel-backend
+// registry (hw/kernel_backend.h), whose cpu-scalar backend wraps a
+// ProcessingUnit and whose other kernels are tested bit-identical to it.
+// Simulated timing never observes which kernel ran.
 #pragma once
 
 #include <cstdint>
@@ -39,8 +44,8 @@ class ProcessingUnit {
   /// geometry — the hardware would have no registers to hold it.
   Status Configure(const ConfigVector& config);
 
-  /// Loads an already-compiled shared program (the per-job path: the
-  /// engine compiles once, all 16 PUs and every worker thread share it).
+  /// Loads an already-compiled shared program (compile once, then share
+  /// it across PUs and worker threads).
   void Configure(std::shared_ptr<const CompiledPuProgram> program);
 
   /// Resets the state graph for a new input string.

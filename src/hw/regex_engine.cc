@@ -1,16 +1,14 @@
 #include "hw/regex_engine.h"
 
-#include <atomic>
-
 #include <string>
 
-#include "common/logging.h"
 #include "common/stopwatch.h"
-#include "hw/fifo.h"
-#include "obs/json.h"
-#include "hw/pu_kernel.h"
+#include "hw/config_vector.h"
+#include "hw/kernel_backend.h"
 #include "hw/output_collector.h"
+#include "hw/pu_kernel.h"
 #include "hw/string_reader.h"
+#include "obs/json.h"
 
 namespace doppio {
 
@@ -30,10 +28,6 @@ RegexEngine::RegexEngine(int id, const DeviceConfig& device, Arbiter* arbiter,
   metric_functional_mbps_ = registry.GetHistogram(
       "doppio.engine.functional_mbps", obs::MbpsBuckets(),
       "functional-pass host throughput per job, all engines");
-  pus_.reserve(static_cast<size_t>(device_.pus_per_engine));
-  for (int i = 0; i < device_.pus_per_engine; ++i) {
-    pus_.emplace_back(device_);
-  }
 }
 
 Status RegexEngine::Start(JobParams* params, JobStatus* status,
@@ -44,7 +38,6 @@ Status RegexEngine::Start(JobParams* params, JobStatus* status,
   status_ = status;
   on_done_ = std::move(on_done);
   blocks_.clear();
-  job_matches_ = 0;
 
   status_->engine_id = id_;
   status_->start_time = scheduler_->now();
@@ -81,6 +74,9 @@ Status RegexEngine::Start(JobParams* params, JobStatus* status,
   Status st = RunFunctional(params_, status_, &blocks_);
   if (!st.ok()) {
     busy_ = false;
+    params_ = nullptr;
+    status_ = nullptr;
+    on_done_ = nullptr;
     return st;
   }
   BuildChunks();
@@ -129,9 +125,8 @@ void RegexEngine::BuildChunks() {
 
 Status RegexEngine::RunFunctional(JobParams* params, JobStatus* status,
                                   std::vector<BlockTiming>* blocks) {
-  // Compile the job's configuration vector once; every PU (and every
-  // worker thread) shares the immutable program — they all evaluate the
-  // same expression; parallelism is across tuples.
+  // Compile the job's configuration vector once; every worker thread
+  // shares the immutable program — parallelism is across tuples.
   DOPPIO_ASSIGN_OR_RETURN(ConfigVector cv,
                           ConfigVector::FromBytes(params->config));
   DOPPIO_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledPuProgram> program,
@@ -143,120 +138,61 @@ Status RegexEngine::RunFunctional(JobParams* params, JobStatus* status,
   if (params->streams != streams) {
     return Status::Internal("job streams do not match the compiled program");
   }
-  for (ProcessingUnit& pu : pus_) {
-    pu.Configure(program);
-  }
+  // The PU kernel class of the loaded program, not the host kernel that
+  // computes the results below.
   status->pu_kernel = PuKernelName(program->kernel());
-  switch (program->kernel()) {
-    case PuKernelKind::kLiteral: stats_.literal_jobs += 1; break;
-    case PuKernelKind::kLazyDfa: stats_.lazy_dfa_jobs += 1; break;
-    case PuKernelKind::kNfaLoop: stats_.nfa_loop_jobs += 1; break;
-  }
 
   StringReader reader(*params);
   OutputCollector collector(*params);
 
-  const bool parallel =
-      pool_ != nullptr && params->count >= kParallelThreshold;
-
+  // One registry execution per worker for the whole job: the host kernels
+  // are exact, so the results are the PU's whichever backend is chosen.
   Stopwatch functional_clock;
+  const KernelBackend& backend =
+      BackendRegistry::Global().ChooseHost(*program);
+  const int workers = pool_ != nullptr && params->count >= kParallelThreshold
+                          ? pool_->num_threads()
+                          : 1;
+  std::vector<std::unique_ptr<HostExecution>> executions;
+  if (!params->timing_only) {
+    for (int w = 0; w < workers; ++w) {
+      executions.push_back(backend.NewExecution(program));
+    }
+  }
+
   int64_t functional_bytes = 0;
+  std::vector<uint16_t> results;
   while (reader.HasMore()) {
     DOPPIO_ASSIGN_OR_RETURN(StringReader::Block block, reader.ReadBlock());
     blocks->push_back(BlockTiming{block.offset_lines, block.heap_lines,
                                   block.string_bytes});
-
-    const int npus = device_.pus_per_engine;
     if (params->timing_only) continue;  // traffic model only
     functional_bytes += block.string_bytes;
-    std::vector<uint16_t> results(block.strings.size() *
-                                  static_cast<size_t>(streams));
-    if (!parallel && streams > 1) {
-      // Set-compiled job on the structural path: the result lane carries
-      // `streams` 16-bit indexes per string instead of one, so the FIFO
-      // emulation below (one value per lane slot) does not apply; the
-      // round-robin PU assignment alone preserves input order.
-      const size_t n = block.strings.size();
-      for (size_t i = 0; i < n; ++i) {
-        pus_[i % static_cast<size_t>(npus)].ProcessStringSet(
-            block.strings[i], &results[i * static_cast<size_t>(streams)]);
-      }
-    } else if (!parallel) {
-      // Structural path (Fig. 4): the reader scatters strings round-robin
-      // into cache-line-wide input FIFOs, PUs consume, and the Output
-      // Collector gathers 16-bit indexes from the result FIFOs in the
-      // same round-robin order — which is what guarantees results leave
-      // in input order.
-      constexpr size_t kFifoDepth = 8;  // strings buffered per PU
-      std::vector<Fifo<std::string_view>> input_fifos;
-      std::vector<Fifo<uint16_t>> result_fifos;
-      input_fifos.reserve(static_cast<size_t>(npus));
-      result_fifos.reserve(static_cast<size_t>(npus));
-      for (int p = 0; p < npus; ++p) {
-        input_fifos.emplace_back(kFifoDepth);
-        result_fifos.emplace_back(kFifoDepth);
-      }
-      const size_t n = block.strings.size();
-      size_t next_in = 0;
-      size_t next_out = 0;
-      while (next_out < n) {
-        // Reader: scatter until the next target FIFO back-pressures.
-        while (next_in < n &&
-               input_fifos[next_in % static_cast<size_t>(npus)].Push(
-                   block.strings[next_in])) {
-          ++next_in;
-        }
-        // PUs: each consumes one buffered string if its result lane has
-        // room.
-        for (int p = 0; p < npus; ++p) {
-          auto& in = input_fifos[static_cast<size_t>(p)];
-          auto& res = result_fifos[static_cast<size_t>(p)];
-          std::string_view s;
-          if (!res.Full() && in.Pop(&s)) {
-            bool pushed =
-                res.Push(pus_[static_cast<size_t>(p)].ProcessString(s));
-            DOPPIO_CHECK(pushed);
-          }
-        }
-        // Collector: gather strictly round-robin (order preservation).
-        while (next_out < n) {
-          uint16_t r;
-          if (!result_fifos[next_out % static_cast<size_t>(npus)].Pop(&r)) {
-            break;
-          }
-          results[next_out] = r;
-          ++next_out;
-        }
-      }
-    } else {
-      // Host-parallel fast path: each worker thread gets its own PU (own
-      // dynamic state and lazy-DFA cache) referencing the shared compiled
-      // program, and processes a contiguous range of the block. Every PU
-      // runs the same program, so the results are identical to the
-      // structural round-robin path.
-      const int shards = pool_->num_threads();
-      const size_t n = block.strings.size();
-      pool_->ParallelFor(shards, [&](int shard) {
-        const size_t begin =
-            n * static_cast<size_t>(shard) / static_cast<size_t>(shards);
-        const size_t end =
-            n * (static_cast<size_t>(shard) + 1) / static_cast<size_t>(shards);
-        if (begin == end) return;
-        ProcessingUnit pu(device_);
-        pu.Configure(program);
+    const size_t n = block.strings.size();
+    results.resize(n * static_cast<size_t>(streams));
+    // Worker w matches a contiguous range of the block; the collector
+    // below emits the indexes in input order.
+    auto match_range = [&](int w) {
+      HostExecution& exec = *executions[static_cast<size_t>(w)];
+      const size_t begin =
+          n * static_cast<size_t>(w) / static_cast<size_t>(workers);
+      const size_t end =
+          n * (static_cast<size_t>(w) + 1) / static_cast<size_t>(workers);
+      for (size_t i = begin; i < end; ++i) {
         if (streams == 1) {
-          for (size_t i = begin; i < end; ++i) {
-            results[i] = pu.ProcessString(block.strings[i]);
-          }
+          results[i] = exec.Match(block.strings[i]);
         } else {
-          for (size_t i = begin; i < end; ++i) {
-            pu.ProcessStringSet(block.strings[i],
-                                &results[i * static_cast<size_t>(streams)]);
-          }
+          exec.MatchSet(block.strings[i],
+                        &results[i * static_cast<size_t>(streams)]);
         }
-      });
+      }
+    };
+    if (workers == 1) {
+      match_range(0);
+    } else {
+      pool_->ParallelFor(workers, match_range);
     }
-    for (size_t i = 0; i < block.strings.size(); ++i) {
+    for (size_t i = 0; i < n; ++i) {
       DOPPIO_RETURN_NOT_OK(collector.AppendSet(
           &results[i * static_cast<size_t>(streams)], streams));
     }
@@ -264,8 +200,6 @@ Status RegexEngine::RunFunctional(JobParams* params, JobStatus* status,
 
   status->functional_bytes = functional_bytes;
   status->functional_host_seconds = functional_clock.ElapsedSeconds();
-  stats_.functional_bytes += functional_bytes;
-  stats_.functional_seconds += status->functional_host_seconds;
   if (functional_bytes > 0) {
     metric_functional_mbps_->Observe(
         obs::SafeRate(static_cast<double>(functional_bytes) / 1e6,
@@ -275,7 +209,6 @@ Status RegexEngine::RunFunctional(JobParams* params, JobStatus* status,
   status->matches = collector.matches();
   status->strings_processed =
       params->timing_only ? params->count : collector.results_written();
-  job_matches_ = collector.matches();
   return Status::OK();
 }
 

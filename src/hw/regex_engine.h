@@ -1,16 +1,18 @@
 // Regex Engine (paper §5): String Reader -> 16 PUs -> Output Collector.
 //
 // Execution is split into two coupled passes over the same block structure:
-//  * the *functional* pass distributes the block's strings round-robin over
-//    the PUs through the input FIFOs and collects the 16-bit match indexes
-//    in order (bit-exact results, written into the result column);
+//  * the *functional* pass computes every string's 16-bit match index(es)
+//    in input order and writes them into the result column. The PU
+//    consumes one byte per cycle whatever the pattern, so any exact kernel
+//    may compute the function (docs/PU_SEMANTICS.md, "Kernel selection"):
+//    the job's program runs through the host backend the kernel-backend
+//    registry picks for it (hw/kernel_backend.h), the same kernels a host
+//    slice uses. Large jobs fan the blocks out over host threads, one
+//    execution per worker for the whole job;
 //  * the *timing* pass replays the block's cache-line traffic (offset
 //    phase, heap phase, result lines) through the arbiter/QPI model on the
-//    virtual clock, and paces the PUs at one byte per 400 MHz cycle.
-//
-// For large jobs the functional pass can fan out across host threads —
-// a simulator implementation detail; results are identical to the
-// single-threaded structural path (asserted by tests).
+//    virtual clock, and paces the PUs at one byte per 400 MHz cycle. It
+//    never observes which kernel computed the results.
 #pragma once
 
 #include <functional>
@@ -24,7 +26,6 @@
 #include "hw/arbiter.h"
 #include "hw/device_config.h"
 #include "hw/job.h"
-#include "hw/processing_unit.h"
 #include "hw/trace.h"
 #include "obs/metrics.h"
 
@@ -35,15 +36,6 @@ struct EngineStats {
   int64_t strings_processed = 0;
   int64_t bytes_streamed = 0;
   SimTime busy_time = 0;
-
-  // Functional-pass (host wall-clock) observability: payload bytes run
-  // through the compiled kernels and the time they took. Simulator
-  // implementation detail — independent of the virtual-time figures.
-  int64_t functional_bytes = 0;
-  double functional_seconds = 0;
-  int64_t literal_jobs = 0;
-  int64_t lazy_dfa_jobs = 0;
-  int64_t nfa_loop_jobs = 0;
 };
 
 class RegexEngine {
@@ -101,8 +93,6 @@ class RegexEngine {
   SimScheduler* scheduler_;
   ThreadPool* pool_;
 
-  std::vector<ProcessingUnit> pus_;
-
   // In-flight job state.
   bool busy_ = false;
   JobParams* params_ = nullptr;
@@ -111,7 +101,6 @@ class RegexEngine {
   std::vector<BlockTiming> blocks_;
   std::vector<Chunk> chunks_;
   SimTime pu_done_ = 0;
-  int64_t job_matches_ = 0;
 
   EngineStats stats_;
   TraceLog* trace_ = nullptr;

@@ -2,10 +2,10 @@
 //
 // Operation alternates between two steps: read a block of offset cache
 // lines (up to 512 lines — the depth of a BRAM FIFO), then use those
-// offsets to fetch the strings from the heap. Parsed strings are forwarded
-// round-robin to the per-PU input FIFOs.
+// offsets to fetch the strings from the heap. In hardware, parsed strings
+// are forwarded round-robin to the per-PU input FIFOs.
 //
-// The functional side (ReadBlock) hands out parsed strings in round-robin
+// The functional side (ReadBlock) hands out parsed strings in input
 // order; the static helpers compute the cache-line traffic each phase
 // generates, which the engine's timing model feeds through the arbiter.
 #pragma once

@@ -256,7 +256,7 @@ Result<HudfResult> RegexpFpgaStreamed(Hal* hal, Pager* pager,
                                                slice.params, policy,
                                                &slice.outcome);
       if (job.ok()) {
-        slice.job = *job;
+        slice.job = std::move(*job);
         pool->NoteInflight(slice.device, +1);
       } else if (IsFallbackEligible(job.status())) {
         slice.fallback = true;
@@ -318,6 +318,7 @@ Result<HudfResult> RegexpFpgaStreamed(Hal* hal, Pager* pager,
           unpin_all();
           return fail(st);
         }
+        slice.job.Release();
       }
       out.stats.job_retries += slice.outcome.retries;
       if (slice.outcome.ok && slice.outcome.fault_seen) {

@@ -415,7 +415,7 @@ TEST(DevicePoolTest, DeadlineBudgetComesFromTheJobsOwnDevice) {
   Result<FpgaJob> narrow =
       SubmitJobWithRetry(pool.device(1), params, policy, &on_narrow);
   ASSERT_TRUE(narrow.ok());
-  FpgaJob narrow_job = *narrow;
+  FpgaJob narrow_job = std::move(*narrow);
   ASSERT_TRUE(AwaitJobWithRecovery(pool.device(0), &narrow_job, params,
                                    policy, &on_narrow)
                   .ok());

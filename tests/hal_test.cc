@@ -1,9 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <functional>
+#include <thread>
+#include <vector>
+
 #include "common/random.h"
 #include "db/hudf.h"
 #include "hal/hal.h"
+#include "hal/job_lifecycle.h"
 #include "mem/arena.h"
+#include "obs/metrics.h"
 
 namespace doppio {
 namespace {
@@ -220,6 +228,209 @@ TEST(HudfTest, OverCapacityPatternFails) {
   ASSERT_TRUE(input.AppendString("abc").ok());
   auto result = RegexpFpga(&hal, input, "averyveryverylongpattern");
   EXPECT_TRUE(result.status().IsCapacityExceeded());
+}
+
+// ---------------------------------------------------------------------
+// Job-record reclamation: a record lives while the host holds its handle
+// or the device points at it, never for the device's lifetime.
+// ---------------------------------------------------------------------
+
+/// Records that can be live while each waiter holds at most one handle:
+/// every other record sits in the descriptor ring or on an engine.
+int64_t LiveRecordBound(FpgaDevice* device) {
+  return device->config().num_engines +
+         device->distributor()->queue().capacity();
+}
+
+/// A small shared-memory job: `rows` address strings, one in four a hit.
+struct SmallJob {
+  std::unique_ptr<Bat> input;
+  std::unique_ptr<Bat> result;
+  RegexConfig config;
+};
+
+SmallJob MakeSmallJob(Hal* hal, int rows) {
+  SmallJob job;
+  job.input = std::make_unique<Bat>(ValueType::kString, hal->bat_allocator());
+  for (int i = 0; i < rows; ++i) {
+    EXPECT_TRUE(job.input
+                    ->AppendString(i % 4 == 0 ? "7 Berner Strasse|61234"
+                                              : "7 Berner Gasse|61234")
+                    .ok());
+  }
+  auto result = Bat::New(ValueType::kInt16, rows, hal->bat_allocator());
+  EXPECT_TRUE(result.ok());
+  EXPECT_TRUE((*result)->AppendZeros(rows).ok());
+  job.result = std::move(*result);
+  auto config = hal->CompileConfig("Strasse");
+  EXPECT_TRUE(config.ok());
+  job.config = std::move(*config);
+  return job;
+}
+
+int64_t CounterValue(const char* name) {
+  return obs::MetricsRegistry::Global().GetCounter(name)->Value();
+}
+
+TEST(JobReclamationTest, SubmitWaitReleaseCyclesStayBounded) {
+  Hal hal(SmallHal());
+  FpgaDevice* device = hal.device();
+  SmallJob small = MakeSmallJob(&hal, 8);
+  const int64_t bound = LiveRecordBound(device);
+  int64_t peak = 0;
+  for (int i = 0; i < 100'000; ++i) {
+    auto job = hal.CreateRegexJob(*small.input, small.result.get(),
+                                  small.config);
+    ASSERT_TRUE(job.ok()) << job.status().ToString();
+    ASSERT_TRUE(job->Wait().ok());
+    ASSERT_EQ(job->status().matches, 2);
+    job->Release();
+    EXPECT_FALSE(job->valid());
+    peak = std::max(peak, device->live_jobs());
+    ASSERT_LE(peak, bound) << "after cycle " << i;
+  }
+  EXPECT_EQ(device->live_jobs(), 0);
+}
+
+TEST(JobReclamationTest, CancelledQueuedAttemptIsReclaimedWhenSkipped) {
+  Hal hal(SmallHal());
+  FpgaDevice* device = hal.device();
+  const int engines = device->config().num_engines;
+  SmallJob small = MakeSmallJob(&hal, 20'000);
+  auto params =
+      hal.BuildRegexJobParams(*small.input, small.result.get(), small.config);
+  ASSERT_TRUE(params.ok());
+
+  // Occupy every engine, then queue one more job behind them.
+  std::vector<FpgaJob> running;
+  for (int i = 0; i < engines; ++i) {
+    auto id = device->Submit(*params);
+    ASSERT_TRUE(id.ok());
+    running.emplace_back(device, *id);
+  }
+  auto queued_id = device->Submit(*params);
+  ASSERT_TRUE(queued_id.ok());
+  FpgaJob queued(device, *queued_id);
+  // Past the distributor's poll: the engines took the first jobs, and
+  // none of them is near done.
+  device->AdvanceVirtualTime(PicosFromSeconds(5e-6));
+  ASSERT_EQ(device->status(*queued_id)->dispatch_time, 0);
+
+  // Abandon the queued attempt: the ring still points at it.
+  ASSERT_TRUE(queued.Cancel().ok());
+  queued.Release();
+  EXPECT_EQ(device->live_jobs(), engines + 1);
+
+  // The distributor pops and skips it once an engine frees.
+  const int64_t skipped = CounterValue("doppio.queue.cancelled_skipped");
+  device->RunToIdle();
+  EXPECT_EQ(CounterValue("doppio.queue.cancelled_skipped"), skipped + 1);
+  EXPECT_EQ(device->live_jobs(), engines);
+  EXPECT_EQ(device->status(*queued_id), nullptr);
+
+  // Done jobs are held for their open handles only.
+  for (FpgaJob& job : running) {
+    EXPECT_TRUE(job.Done());
+    job.Release();
+  }
+  EXPECT_EQ(device->live_jobs(), 0);
+}
+
+TEST(JobReclamationTest, AbandonedAttemptsUnderFaultsAreReclaimed) {
+  // Drops, delayed completions and late done bits, with a retry policy
+  // tight enough that delayed attempts expire: the lifecycle cancels and
+  // resubmits, and every abandoned attempt must be reclaimed once the
+  // distributor skips it or its engine frees.
+  Hal::Options options = SmallHal();
+  FaultPlan& faults = options.device.faults;
+  faults.enabled = true;
+  faults.seed = 31;
+  faults.drop_rate = 0.05;
+  faults.delay_rate = 0.3;
+  faults.delay_seconds = 50e-6;
+  faults.done_latency_rate = 0.05;
+  faults.done_latency_seconds = 1e-6;
+  // Wait budget: half the modeled job time plus the injected-delay
+  // headroom. A delayed attempt overruns it and is cancelled while its
+  // engine is still busy.
+  options.retry.max_retries = 4;
+  options.retry.deadline_slack = 0.5;
+  options.retry.min_deadline_sec = 1e-6;
+  Hal hal(options);
+  FpgaDevice* device = hal.device();
+  SmallJob small = MakeSmallJob(&hal, 4'000);
+  auto params =
+      hal.BuildRegexJobParams(*small.input, small.result.get(), small.config);
+  ASSERT_TRUE(params.ok());
+  const RetryPolicy& policy = hal.retry_policy();
+  const int64_t bound = LiveRecordBound(device);
+
+  const int64_t lost_before = CounterValue("doppio.device.wait_job_lost");
+  const int64_t retries_before = CounterValue("doppio.lifecycle.retries");
+  const int64_t skipped_before =
+      CounterValue("doppio.queue.cancelled_skipped");
+  // Waves several times wider than the engines: a resubmitted attempt
+  // queues behind the rest of its wave and can expire before dispatch,
+  // so the distributor also skips cancelled descriptors.
+  constexpr int kWaves = 100;
+  constexpr int kJobsPerWave = 24;
+  int completed = 0;
+  for (int wave = 0; wave < kWaves; ++wave) {
+    std::vector<FpgaJob> jobs;
+    std::vector<JobOutcome> outcomes(kJobsPerWave);
+    for (JobOutcome& outcome : outcomes) {
+      auto job = SubmitJobWithRetry(device, *params, policy, &outcome);
+      ASSERT_TRUE(job.ok()) << job.status().ToString();
+      jobs.push_back(std::move(*job));
+    }
+    for (size_t j = 0; j < jobs.size(); ++j) {
+      Status st = AwaitJobWithRecovery(device, &jobs[j], *params, policy,
+                                       &outcomes[j]);
+      if (st.ok()) ++completed;
+      ASSERT_LE(device->live_jobs(), bound) << "wave " << wave;
+      jobs[j].Release();
+    }
+    ASSERT_LE(device->live_jobs(), bound) << "wave " << wave;
+  }
+  EXPECT_GT(completed, 0);
+  EXPECT_GT(CounterValue("doppio.device.wait_job_lost"), lost_before);
+  EXPECT_GT(CounterValue("doppio.lifecycle.retries"), retries_before);
+  EXPECT_GT(CounterValue("doppio.queue.cancelled_skipped"), skipped_before);
+
+  // Every handle is released; once the device drains, nothing is left.
+  device->RunToIdle();
+  EXPECT_EQ(device->live_jobs(), 0);
+}
+
+TEST(JobReclamationTest, TwoConcurrentWaitersStayBounded) {
+  Hal hal(SmallHal());
+  FpgaDevice* device = hal.device();
+  SmallJob smalls[2] = {MakeSmallJob(&hal, 8), MakeSmallJob(&hal, 8)};
+  const int64_t bound = LiveRecordBound(device);
+  std::atomic<int64_t> peak{0};
+  std::atomic<int> failures{0};
+  auto waiter = [&](const SmallJob& small) {
+    for (int i = 0; i < 20'000; ++i) {
+      auto job = hal.CreateRegexJob(*small.input, small.result.get(),
+                                    small.config);
+      if (!job.ok() || !job->Wait().ok() || job->status().matches != 2) {
+        failures.fetch_add(1);
+        return;
+      }
+      job->Release();
+      const int64_t live = device->live_jobs();
+      int64_t seen = peak.load();
+      while (live > seen && !peak.compare_exchange_weak(seen, live)) {
+      }
+    }
+  };
+  std::thread a(waiter, std::cref(smalls[0]));
+  std::thread b(waiter, std::cref(smalls[1]));
+  a.join();
+  b.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_LE(peak.load(), bound);
+  EXPECT_EQ(device->live_jobs(), 0);
 }
 
 }  // namespace

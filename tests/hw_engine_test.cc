@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <set>
+#include <string>
 
 #include "bat/bat.h"
 #include "common/random.h"
 #include "hw/config_compiler.h"
-#include "hw/fifo.h"
 #include "hw/fpga_device.h"
+#include "hw/kernel_backend.h"
 #include "hw/output_collector.h"
 #include "hw/string_reader.h"
 #include "regex/dfa_matcher.h"
@@ -35,25 +37,6 @@ JobParams MakeJob(const Bat& input, Bat* result,
   params.heap_bytes = input.heap()->size_bytes();
   params.config = config.vector.bytes();
   return params;
-}
-
-TEST(FifoTest, BoundedWithStallAccounting) {
-  Fifo<int> fifo(2);
-  EXPECT_TRUE(fifo.Empty());
-  EXPECT_TRUE(fifo.Push(1));
-  EXPECT_TRUE(fifo.Push(2));
-  EXPECT_TRUE(fifo.Full());
-  EXPECT_FALSE(fifo.Push(3));  // back-pressure
-  EXPECT_EQ(fifo.push_stalls(), 1);
-  int v = 0;
-  EXPECT_TRUE(fifo.Pop(&v));
-  EXPECT_EQ(v, 1);  // FIFO order
-  EXPECT_TRUE(fifo.Pop(&v));
-  EXPECT_EQ(v, 2);
-  EXPECT_FALSE(fifo.Pop(&v));  // empty
-  EXPECT_EQ(fifo.pop_stalls(), 1);
-  EXPECT_EQ(fifo.total_pushed(), 2);
-  EXPECT_EQ(fifo.max_occupancy(), 2u);
 }
 
 TEST(StringReaderTest, BlockStructureAndTraffic) {
@@ -238,12 +221,13 @@ TEST(FpgaDeviceTest, DifferentQueriesRunConcurrently) {
   }
 }
 
-TEST(FpgaDeviceTest, StructuralAndParallelFunctionalPathsAgree) {
-  // The FIFO-mediated structural path (used below the parallel threshold)
-  // and the host-parallel fast path must produce identical result BATs.
+TEST(FpgaDeviceTest, SerialAndHostParallelFunctionalPathsAgree) {
+  // The serial functional pass (one execution for the whole job) and the
+  // host-parallel one (one execution per worker, each matching a range of
+  // every block) must produce identical result BATs.
   AddressDataOptions opts;
   // Above RegexEngine::kParallelThreshold so the pool-enabled device
-  // takes the host-parallel fast path; the pool-less one is structural.
+  // takes the host-parallel path; the pool-less one stays serial.
   opts.num_records = 70'000;
   auto table = GenerateAddressTable(opts, "addr");
   ASSERT_TRUE(table.ok());
@@ -253,11 +237,11 @@ TEST(FpgaDeviceTest, StructuralAndParallelFunctionalPathsAgree) {
       CompileRegexConfig(QueryPattern(EvalQuery::kQ2), device);
   ASSERT_TRUE(config.ok());
 
-  Bat structural(ValueType::kInt16);
-  ASSERT_TRUE(structural.AppendZeros(strings.count()).ok());
+  Bat serial(ValueType::kInt16);
+  ASSERT_TRUE(serial.AppendZeros(strings.count()).ok());
   {
-    FpgaDevice fpga(device);  // no thread pool: structural FIFO path
-    auto job = fpga.Submit(MakeJob(strings, &structural, *config));
+    FpgaDevice fpga(device);  // no thread pool: serial path
+    auto job = fpga.Submit(MakeJob(strings, &serial, *config));
     ASSERT_TRUE(job.ok());
     ASSERT_TRUE(fpga.WaitForJob(*job).ok());
   }
@@ -272,8 +256,119 @@ TEST(FpgaDeviceTest, StructuralAndParallelFunctionalPathsAgree) {
     ASSERT_TRUE(fpga.WaitForJob(*job).ok());
   }
   for (int64_t i = 0; i < strings.count(); ++i) {
-    EXPECT_EQ(structural.GetInt16(i), parallel.GetInt16(i)) << i;
+    EXPECT_EQ(serial.GetInt16(i), parallel.GetInt16(i)) << i;
   }
+}
+
+/// Scoped environment override restoring the prior value on destruction.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    const char* old = std::getenv(name);
+    had_value_ = old != nullptr;
+    if (had_value_) saved_ = old;
+    if (value != nullptr) {
+      setenv(name, value, 1);
+    } else {
+      unsetenv(name);
+    }
+  }
+  ~ScopedEnv() {
+    if (had_value_) {
+      setenv(name_, saved_.c_str(), 1);
+    } else {
+      unsetenv(name_);
+    }
+  }
+
+ private:
+  const char* name_;
+  std::string saved_;
+  bool had_value_ = false;
+};
+
+TEST(FpgaDeviceTest, ForcedScalarBackendChangesNothingTheJobReports) {
+  // The functional pass runs whichever host backend the registry picks.
+  // Pinning it to the scalar reference must leave every job report as
+  // is: result bytes, the virtual clock, the traffic and the PU kernel
+  // class — for Q1-Q4 and for a 3-member set job, each on a fresh device.
+  AddressDataOptions opts;
+  opts.num_records = 10'000;  // two reader blocks
+  auto table = GenerateAddressTable(opts, "addr");
+  ASSERT_TRUE(table.ok());
+  const Bat& strings = *(*table)->GetColumn("address_string");
+  DeviceConfig device;
+
+  struct Job {
+    std::string name;
+    RegexConfig config;
+    int streams = 1;
+  };
+  std::vector<Job> jobs;
+  for (EvalQuery q : {EvalQuery::kQ1, EvalQuery::kQ2, EvalQuery::kQ3,
+                      EvalQuery::kQ4}) {
+    auto config = CompileRegexConfig(QueryPattern(q), device);
+    ASSERT_TRUE(config.ok()) << QueryName(q);
+    jobs.push_back(Job{QueryName(q), std::move(*config), 1});
+  }
+  std::vector<RegexConfig> members;
+  std::vector<const TokenNfa*> nfas;
+  for (const char* pattern : {"Strasse", "Gasse", "Berner"}) {
+    auto config = CompileRegexConfig(pattern, device);
+    ASSERT_TRUE(config.ok()) << pattern;
+    members.push_back(std::move(*config));
+  }
+  for (const RegexConfig& member : members) nfas.push_back(&member.nfa);
+  auto set = CompileRegexSetConfig(nfas, device);
+  ASSERT_TRUE(set.ok()) << set.status().ToString();
+  jobs.push_back(Job{"set of 3", std::move(*set), 3});
+
+  struct Report {
+    std::vector<uint8_t> result;
+    SimTime finish_time = 0;
+    int64_t bytes_streamed = 0;
+    std::string pu_kernel;
+  };
+  auto run = [&](const Job& job, const char* forced) {
+    ScopedEnv env("DOPPIO_FORCE_BACKEND", forced);
+    const int64_t values = strings.count() * job.streams;
+    Bat result(ValueType::kInt16);
+    EXPECT_TRUE(result.AppendZeros(values).ok());
+    JobParams params = MakeJob(strings, &result, job.config);
+    params.streams = job.streams;
+    FpgaDevice fpga(device);
+    auto id = fpga.Submit(std::move(params));
+    EXPECT_TRUE(id.ok()) << id.status().ToString();
+    EXPECT_TRUE(fpga.WaitForJob(*id).ok());
+    const JobStatus& status = *fpga.status(*id);
+    const uint8_t* bytes = result.tail_data();
+    return Report{std::vector<uint8_t>(bytes, bytes + values * 2),
+                  status.finish_time, status.bytes_streamed,
+                  status.pu_kernel};
+  };
+
+  int accelerated = 0;
+  for (const Job& job : jobs) {
+    {
+      ScopedEnv env("DOPPIO_FORCE_BACKEND", nullptr);
+      auto program = CompiledPuProgram::Compile(job.config.vector, device);
+      ASSERT_TRUE(program.ok()) << job.name;
+      if (BackendRegistry::Global().ChooseHost(**program).id() !=
+          BackendId::kCpuScalar) {
+        ++accelerated;
+      }
+    }
+    const Report chosen = run(job, nullptr);
+    const Report scalar = run(job, "scalar");
+    EXPECT_EQ(chosen.result, scalar.result) << job.name;
+    EXPECT_EQ(chosen.finish_time, scalar.finish_time) << job.name;
+    EXPECT_EQ(chosen.bytes_streamed, scalar.bytes_streamed) << job.name;
+    EXPECT_EQ(chosen.pu_kernel, scalar.pu_kernel) << job.name;
+    EXPECT_GT(chosen.finish_time, 0) << job.name;
+  }
+  // The comparison means something only if some job left the scalar
+  // kernels when the backend was not forced.
+  EXPECT_GT(accelerated, 0);
 }
 
 TEST(FpgaDeviceTest, FifthJobQueuesBehindBusyEngines) {

@@ -251,7 +251,9 @@ TEST_P(ConformanceTest, DevicePoolShardingAgreesWhenMappable) {
   // The whole dialect corpus through 2- and 4-device pools: sharding a
   // BAT across devices must preserve the per-row 16-bit match index
   // exactly — byte-identical to the single-device partitioned run, with
-  // the case rows deliberately spread across slice boundaries.
+  // the case rows deliberately spread across slice boundaries. The
+  // single-device run runs the same registry kernels as the pooled ones,
+  // so it is itself pinned to the scalar reference, ProcessingUnit.
   const Conformance& c = GetParam();
   DeviceConfig probe_device;
   probe_device.max_chars = 64;
@@ -283,6 +285,13 @@ TEST_P(ConformanceTest, DevicePoolShardingAgreesWhenMappable) {
   auto reference =
       RegexpFpgaPartitioned(single, reference_input, *config_one);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ProcessingUnit pu(probe_device);
+  ASSERT_TRUE(pu.Configure(config_one->vector).ok()) << c.pattern;
+  for (int64_t i = 0; i < kRows; ++i) {
+    EXPECT_EQ(static_cast<uint16_t>(reference->result->GetInt16(i)),
+              pu.ProcessString(reference_input.GetString(i)))
+        << c.pattern << " row " << i << " on the 1-device reference";
+  }
 
   for (int devices : {2, 4}) {
     Hal* hal = PoolHal(devices);

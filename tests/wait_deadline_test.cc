@@ -45,7 +45,7 @@ FpgaJob SubmitOneJob(Hal* hal, Bat* input, std::unique_ptr<Bat>* result) {
   *result = std::move(*r);
   auto job = hal->CreateRegexJob(*input, result->get(), *config);
   EXPECT_TRUE(job.ok()) << job.status().ToString();
-  return *job;
+  return std::move(*job);
 }
 
 TEST(WaitDeadlineTest, ExpiredWaitDoesNotBurnVirtualTimePastDeadline) {
