@@ -95,6 +95,8 @@ class Buffer {
 
   /// Grows the logical size by `bytes` of zeroed content.
   Status AppendZeros(int64_t bytes) {
+    // An empty buffer has no storage yet: memset(nullptr, 0, 0) is UB.
+    if (bytes == 0) return Status::OK();
     DOPPIO_RETURN_NOT_OK(Reserve(size_ + bytes));
     std::memset(data_ + size_, 0, static_cast<size_t>(bytes));
     size_ += bytes;

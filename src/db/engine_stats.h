@@ -3,7 +3,10 @@
 // in the HAL, and in the hardware execution itself.
 //
 // Software phases are host wall-clock; the hardware phase is virtual
-// (simulated) time.
+// (simulated) time. Scans through the executor (db/hudf.h,
+// ExecuteScanPlan) split their host time by one rule: building the plan
+// is hal_seconds, the drain is sim_host_seconds, everything after it is
+// udf_software_seconds.
 #pragma once
 
 #include <cmath>
@@ -15,14 +18,22 @@ namespace doppio {
 struct QueryStats {
   // Phase breakdown, seconds.
   double database_seconds = 0;    // everything but the UDF
-  double udf_software_seconds = 0;  // UDF overhead minus the parts below
+  /// UDF overhead minus the parts below: for an executor scan, what
+  /// follows the drain — planned host runs, software fallback,
+  /// cached-block copies and set demux.
+  double udf_software_seconds = 0;
   double config_gen_seconds = 0;  // pattern -> configuration vector
-  double hal_seconds = 0;         // job creation/bookkeeping in the HAL
+  /// Job creation/bookkeeping: for an executor scan, building the plan
+  /// (result BAT, slices, job parameters) up to the drain.
+  double hal_seconds = 0;
   double hw_seconds = 0;          // virtual time on the FPGA (queue+exec)
 
-  /// Host time spent *running the simulator* (busy-wait draining virtual
-  /// events). A measurement artifact: excluded from every phase and from
-  /// TotalSeconds(), tracked so callers can reconcile wall clocks.
+  /// Host time spent *running the simulator*: the executor's drain
+  /// (submitting device jobs and busy-waiting on virtual events), and
+  /// for a streamed scan the rest of its window loop too (page-in copies,
+  /// per-segment cache puts). A measurement artifact: excluded from every
+  /// phase and from TotalSeconds(), tracked so callers can reconcile
+  /// wall clocks.
   double sim_host_seconds = 0;
 
   // Volume.

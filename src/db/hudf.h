@@ -7,12 +7,15 @@
 // match's last character, zero = no match.
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <string_view>
 #include <vector>
 
 #include "bat/bat.h"
 #include "common/status.h"
+#include "common/stopwatch.h"
 #include "db/engine_stats.h"
 #include "hal/hal.h"
 #include "hw/kernel_backend.h"
@@ -26,13 +29,110 @@ struct HudfResult {
   QueryStats stats;             // udf/config/hal/hw phase breakdown
 };
 
+// The scan executor. Every regex scan of a string column — resident or
+// streamed, one job or a scheduler wave, device or host — is a ScanPlan
+// run by ExecuteScanPlan. A plan is a set of queries; each query covers
+// rows of one input view and writes one result BAT, slice by slice, from
+// one of three sources: a device job, a planned host run of the compiled
+// program, or a cached result block. The entry points below, the
+// scheduler, the hybrid executor and the streaming executor only build
+// plans; the executor owns the one submit -> await-with-recovery ->
+// degrade-to-host -> per-clock-domain stitch -> set demux loop.
+//
+// Host phases, on every plan: hal_seconds is building the plan (from its
+// construction to the drain), sim_host_seconds is the drain (submitting
+// and awaiting device jobs), udf_software_seconds is everything after it
+// — host runs, software fallback, cached-block copies, set demux.
+
+enum class SliceSource {
+  kDevice,  // a job on a pool device; degrades to a host run on faults
+  kHost,    // a planned host run of the query's program (RunHostSlice)
+  kCached,  // a cached result block, copied into the slice's result span
+};
+
+struct ScanSlice {
+  SliceSource source = SliceSource::kDevice;
+  /// Rows [first_row, first_row + rows) of the query's input view.
+  int64_t first_row = 0;
+  int64_t rows = 0;
+  /// kCached only: the block's `rows` values, and how many are nonzero.
+  const uint16_t* cached = nullptr;
+  int64_t cached_matches = 0;
+};
+
+struct ScanQuery {
+  /// Input view: `view_rows` strings as 32-bit offsets into `heap`
+  /// (`heap_bytes` long) — a resident BAT or a pinned segment window.
+  const uint8_t* offsets = nullptr;
+  const uint8_t* heap = nullptr;
+  int64_t view_rows = 0;
+  int64_t heap_bytes = 0;
+  /// Caller-owned kInt16 result: view row r lands at result row
+  /// r + result_offset, `streams` values per row (row-major).
+  Bat* result = nullptr;
+  int64_t result_offset = 0;
+
+  const RegexConfig* config = nullptr;
+  /// Compiled program for host runs; null compiles `config` per run.
+  std::shared_ptr<const CompiledPuProgram> program;
+  /// Tagged accept streams of `config` (1..64); > 1 fills set_outputs.
+  int streams = 1;
+  bool timing_only = false;  // JobParams::timing_only for device slices
+  /// Span the executor opens and closes; null = record into `trace`, a
+  /// span the caller owns (0 = untraced).
+  const char* span_name = nullptr;
+  uint64_t trace = 0;
+  /// Strategy route ("fpga", "sched_cpu", ...). stats.strategy appends
+  /// "+sw_fallback" when a device slice degraded, then "+cache_prefix"
+  /// when a cached slice served rows.
+  std::string route;
+  std::vector<ScanSlice> slices;
+
+  /// Outputs. rows_scanned counts every slice's rows; hw_seconds is the
+  /// max over devices of the query's per-device job extent.
+  QueryStats stats;
+  std::vector<HudfResult> set_outputs;
+
+  /// Views a resident string BAT (InvalidArgument for any other type).
+  Status SetView(const Bat& input);
+  /// Appends rows [first, limit) as `partitions` device slices of
+  /// ceil(rows / partitions) rows (fewer when the rows run out).
+  void AddDeviceSlices(int64_t first, int64_t limit, int partitions);
+};
+
+struct ScanPlan {
+  Hal* hal = nullptr;  // null for host-only plans
+  /// Program geometry for host runs; defaults to hal->device_config().
+  const DeviceConfig* device = nullptr;
+  /// true: device slices spread over the whole pool; false: all on pool
+  /// device 0 (the paper's single device).
+  bool pooled = false;
+  std::vector<ScanQuery> queries;
+  Stopwatch watch;  // started with the plan: hal_seconds until the drain
+};
+
+/// Runs every query of `plan`. Device slices are dealt to the devices in
+/// scope proportional to their free engines (DevicePool::ShardCounts),
+/// at most num_engines in flight per device so a backlog stays
+/// stealable; a device that runs dry steals from the most backlogged
+/// member, and one that exhausts a slice's retries hands its backlog to
+/// the others. The drain awaits one slice per device visit, round-robin,
+/// so placement and virtual timing are deterministic for a pool state.
+/// Slices no device completed run on the host (stats.fallback_rows).
+/// Every span the executor opens is closed on every exit.
+Status ExecuteScanPlan(ScanPlan* plan);
+
+/// A kInt16 BAT of `count` zeroed values.
+Result<std::unique_ptr<Bat>> ZeroedInt16Bat(
+    int64_t count, BufferAllocator* allocator = MallocAllocator::Default());
+
 /// Runs the REGEXP_FPGA HUDF over a string BAT. The pattern uses the regex
 /// dialect (LIKE patterns are translated before reaching this layer).
 /// Fails with CapacityExceeded when the pattern does not fit the deployed
 /// geometry — callers fall back to hybrid or software execution.
 /// Deliberately pinned to pool device 0: this is the paper's single-job
-/// fast path; multi-device spreading happens in the partitioned/batched
-/// executors below.
+/// fast path; multi-device spreading happens in the pooled entry points
+/// below.
 Result<HudfResult> RegexpFpga(Hal* hal, const Bat& input,
                               std::string_view pattern,
                               const CompileOptions& options = {});
@@ -45,8 +145,9 @@ Result<HudfResult> RegexpFpga(Hal* hal, const Bat& input,
 /// Single-query intra-operator parallelism (paper §7.5: "the FPGA
 /// parallelizes by horizontally partitioning the data to the four Regex
 /// Engines"): the BAT is split into `partitions` slices, one job per
-/// engine, all sharing the string heap; results land in disjoint slices
-/// of one result BAT. 0 = one partition per deployed engine.
+/// engine of pool device 0, all sharing the string heap; results land in
+/// disjoint slices of one result BAT. 0 = one partition per deployed
+/// engine.
 Result<HudfResult> RegexpFpgaPartitioned(Hal* hal, const Bat& input,
                                          const RegexConfig& config,
                                          int partitions = 0);
@@ -57,70 +158,41 @@ Result<HudfResult> RegexpFpgaPartitioned(Hal* hal, const Bat& input,
                                          const CompileOptions& options = {},
                                          int partitions = 0);
 
-/// One query of a cross-query batched submission (the multi-tenant
-/// scheduler's coalescing unit, src/sched). Each query keeps its own input
-/// BAT, result BAT and QueryStats — results are demultiplexed per query by
-/// construction because every job slice writes a disjoint result range.
+/// One query of a cross-query batched submission. Each query keeps its
+/// own input BAT, result BAT and QueryStats — results are demultiplexed
+/// per query by construction because every job slice writes a disjoint
+/// result range.
 struct FpgaBatchQuery {
   const Bat* input = nullptr;
   const RegexConfig* config = nullptr;
-  /// Slices for this query (0 = one per deployed engine). Batched callers
-  /// typically spread the engines across the batch instead.
+  /// Slices for this query (0 = one per engine across the pool). Batched
+  /// callers typically spread the engines across the batch instead.
   int partitions = 0;
   /// Tracer span name for this query's lifecycle.
   const char* span_name = "regexp_fpga_batch";
   /// Simulator-only throughput knob (see JobParams::timing_only): derive
   /// exact traffic/timing but skip the functional pass (results zeroed).
   bool timing_only = false;
-  /// Admission-time row snapshot: scan only the first `rows` rows of
-  /// `input` (-1 = whatever `input->count()` is at execution time). The
-  /// scheduler pins this at Submit so an append landing between admission
-  /// and wave execution cannot leak post-snapshot rows into the result.
-  /// Normalized to min(rows, input->count()) during Phase-0 validation.
-  int64_t rows = -1;
-  /// First row to scan (partial-extent execution): the device scans rows
-  /// [first_row, rows) and `out.result` holds exactly that span. 0 = the
-  /// classic full scan, byte-identical to before this field existed. The
-  /// scheduler sets it when a cached prefix block already answers
-  /// [0, first_row) so only a grown column's appended tail is re-scanned.
-  /// Clamped to [0, rows] during Phase-0 validation.
-  int64_t first_row = 0;
   /// Output streams of `config` (1..64). 1 = the classic single-pattern
-  /// scan, byte-identical to before streams existed. > 1 = `config` is a
-  /// set-compiled program (CompileRegexSetConfig) with that many tagged
-  /// accept streams: `out.result` then holds count x streams 16-bit
-  /// values row-major (the raw device layout) and `set_outputs` the
-  /// per-stream demux. Must equal the compiled program's pattern count.
+  /// scan. > 1 = `config` is a set-compiled program
+  /// (CompileRegexSetConfig) with that many tagged accept streams:
+  /// `out.result` then holds count x streams 16-bit values row-major (the
+  /// raw device layout) and `set_outputs` the per-stream demux. Must equal
+  /// the compiled program's pattern count.
   int streams = 1;
-  HudfResult out;  // populated by RegexpFpgaBatch
+  HudfResult out;  // populated by RegexpFpgaBatchPooled
   /// streams > 1 only: set_outputs[k] is member k's own kInt16 column
   /// over the input rows — bit-identical to running that member alone.
-  /// Each carries the wave's shared stats with its own rows_matched.
+  /// Each carries the batch's shared stats with its own rows_matched.
   std::vector<HudfResult> set_outputs;
 };
 
-/// Shared partitioned submission across queries: every slice of every
-/// query is submitted before any is waited on, so the queries overlap
-/// across the engines in virtual time (the paper's Fig. 11 multi-client
-/// scenario, but coalesced into one wave instead of raced). Each query
-/// degrades per-slice to the software matchers exactly like the
-/// single-query path; a batch of one is behaviour- and timing-identical
-/// to RegexpFpgaPartitioned. Targets device 0 only — the paper's
-/// single-device path.
-Status RegexpFpgaBatch(Hal* hal, const std::vector<FpgaBatchQuery*>& queries);
-
-/// Device-aware variant over the HAL's whole DevicePool. With a pool of
-/// one this IS RegexpFpgaBatch (same code path, bit- and byte-identical
-/// results, stats and virtual timing). With N devices it shards every
-/// query's slices across the pool proportional to each device's free
-/// engines, caps in-flight slices per device at its engine count so a
-/// backlog stays stealable, and lets a device that runs dry steal queued
-/// slices from the most backlogged member — so one fault-stalled device
-/// degrades its own in-flight slices to software while the healthy
-/// devices absorb its backlog. Per-query `hw_seconds` is the maximum
-/// per-clock-domain extent (device clocks are independent; cross-device
-/// time differences are meaningless). Placement, stealing and results
-/// are fully deterministic for a given pool state.
+/// Shared submission across queries over the HAL's whole DevicePool, as
+/// one ScanPlan: every query's slices are placed before any is awaited,
+/// so the queries overlap across the engines in virtual time (the
+/// paper's Fig. 11 multi-client scenario, coalesced into one wave instead
+/// of raced). With a pool of one, a batch of one is behaviour- and
+/// timing-identical to RegexpFpgaPartitioned.
 Status RegexpFpgaBatchPooled(Hal* hal,
                              const std::vector<FpgaBatchQuery*>& queries);
 

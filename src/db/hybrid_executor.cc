@@ -78,10 +78,8 @@ std::string FingerprintOf(const RegexConfig& config) {
 // would have produced.
 Result<std::unique_ptr<Bat>> BatFromBlock(const sched::CachedResultBlock& block,
                                           BufferAllocator* allocator) {
-  DOPPIO_ASSIGN_OR_RETURN(
-      std::unique_ptr<Bat> bat,
-      Bat::New(ValueType::kInt16, block.rows(), allocator));
-  DOPPIO_RETURN_NOT_OK(bat->AppendZeros(block.rows()));
+  DOPPIO_ASSIGN_OR_RETURN(std::unique_ptr<Bat> bat,
+                          ZeroedInt16Bat(block.rows(), allocator));
   if (block.rows() > 0) {
     std::memcpy(bat->mutable_tail_data(), block.values.data(),
                 block.values.size() * sizeof(uint16_t));
@@ -141,8 +139,8 @@ std::optional<HybridResult> TryPrefilterRefine(
     auto program =
         CompiledPuProgram::Compile(full_config.vector, hal->device_config());
     if (!program.ok()) break;
-    auto result = Bat::New(ValueType::kInt16, rows, hal->bat_allocator());
-    if (!result.ok() || !(*result)->AppendZeros(rows).ok()) break;
+    auto result = ZeroedInt16Bat(rows, hal->bat_allocator());
+    if (!result.ok()) break;
     Stopwatch refine_watch;
     HostSliceInfo info;
     auto matches = RunHostCandidates(
@@ -167,55 +165,6 @@ std::optional<HybridResult> TryPrefilterRefine(
   }
   if (probed) cache->CountPrefilterReject();
   return std::nullopt;
-}
-
-// Partial-extent reuse (docs/RESULT_CACHE.md): an earlier, shorter
-// version of an append-only column is a row-identical prefix of the
-// current one — AppendString only adds rows. A cached block for such a
-// version answers rows [0, block->rows()) verbatim; only the appended
-// tail needs scanning, which runs on the host backend with full device
-// Match semantics so the merged column is bit-identical to a full scan.
-// Best-effort like TryPrefilterRefine: failures fall through to offload.
-std::optional<HybridResult> TryPrefixTailServe(
-    sched::ResultCache* cache, Hal* hal, const Bat& input,
-    const RegexConfig& full_config, const std::string& fingerprint,
-    uint64_t column_id, int64_t rows) {
-  std::shared_ptr<const sched::CachedResultBlock> block =
-      cache->GetPrefix(fingerprint, column_id, rows);
-  if (block == nullptr) return std::nullopt;
-  const int64_t prefix_rows = block->rows();
-
-  auto program =
-      CompiledPuProgram::Compile(full_config.vector, hal->device_config());
-  if (!program.ok()) return std::nullopt;
-  auto result = Bat::New(ValueType::kInt16, rows, hal->bat_allocator());
-  if (!result.ok() || !(*result)->AppendZeros(rows).ok()) return std::nullopt;
-  std::memcpy((*result)->mutable_tail_data(), block->values.data(),
-              static_cast<size_t>(prefix_rows) * sizeof(uint16_t));
-
-  Stopwatch tail_watch;
-  JobParams params;
-  params.offsets = input.tail_data() + prefix_rows * input.offset_width();
-  params.heap = input.heap()->data();
-  params.result =
-      (*result)->mutable_tail_data() + prefix_rows * sizeof(uint16_t);
-  params.count = rows - prefix_rows;
-  params.heap_bytes = input.heap()->size_bytes();
-  params.config = full_config.vector.bytes();
-  HostSliceInfo info;
-  auto tail_matches =
-      RunHostSlice(hal->device_config(), params, *program, &info);
-  if (!tail_matches.ok()) return std::nullopt;
-
-  HybridResult out;
-  out.result = std::move(*result);
-  out.strategy = HybridStrategy::kFpgaOnly;
-  out.stats.strategy = "fpga+cache_prefix";
-  out.stats.pu_kernel = info.kernel;
-  out.stats.rows_scanned = rows - prefix_rows;  // only the tail was scanned
-  out.stats.rows_matched = block->rows_matched + *tail_matches;
-  out.stats.udf_software_seconds = tail_watch.ElapsedSeconds();
-  return out;
 }
 
 }  // namespace
@@ -324,17 +273,40 @@ Result<HybridResult> ExecuteHybrid(Hal* hal, const Bat& input,
                        *refined->result, /*degraded=*/false);
           return std::move(*refined);
         }
-        // Partial-extent reuse: a cached scan of a shorter (pre-append)
-        // version of this column serves the prefix; only the appended
-        // tail is scanned. The merged block is cached under the current
-        // version so the next repeat is an exact hit.
-        std::optional<HybridResult> served = TryPrefixTailServe(
-            cache, hal, input, *config, fingerprint, column_id,
-            snapshot_rows);
-        if (served.has_value()) {
-          OfferToCache(cache, fingerprint, column_id, column_version,
-                       *served->result, /*degraded=*/false);
-          return std::move(*served);
+        // Partial-extent reuse (docs/RESULT_CACHE.md): an earlier,
+        // shorter version of an append-only column is a row-identical
+        // prefix of this one, so its cached block answers those rows
+        // verbatim; only the appended tail is scanned, on the host
+        // backend with full device Match semantics. The stitched block
+        // is cached under the current version so the next repeat is an
+        // exact hit. Best-effort: failures fall through to offload.
+        if (auto prefix = cache->GetPrefix(fingerprint, column_id,
+                                           snapshot_rows)) {
+          ScanPlan tail;
+          tail.device = &hal->device_config();
+          ScanQuery& query = tail.queries.emplace_back();
+          query.config = &*config;
+          query.route = "fpga";
+          query.slices = {{SliceSource::kCached, 0, prefix->rows(),
+                           prefix->values.data(), prefix->rows_matched},
+                          {SliceSource::kHost, prefix->rows(),
+                           snapshot_rows - prefix->rows()}};
+          auto program = CompiledPuProgram::Compile(config->vector,
+                                                    hal->device_config());
+          auto result = ZeroedInt16Bat(snapshot_rows, hal->bat_allocator());
+          if (program.ok() && result.ok() && query.SetView(input).ok()) {
+            query.program = std::move(*program);
+            query.result = result->get();
+            if (ExecuteScanPlan(&tail).ok()) {
+              out.result = std::move(*result);
+              out.stats = std::move(query.stats);
+              // Only the tail was scanned.
+              out.stats.rows_scanned = snapshot_rows - prefix->rows();
+              OfferToCache(cache, fingerprint, column_id, column_version,
+                           *out.result, /*degraded=*/false);
+              return out;
+            }
+          }
         }
       }
     }

@@ -63,7 +63,7 @@ class Hal {
     /// Simulated devices behind this HAL. 1 (the default) is the paper's
     /// deployment and keeps every direct-submit path byte-identical;
     /// larger pools shard partitioned submissions across devices (see
-    /// hw/device_pool.h and RegexpFpgaBatchPooled).
+    /// hw/device_pool.h and ExecuteScanPlan in db/hudf.h).
     int num_devices = 1;
     /// Per-device fault-plan overrides (index i replaces `device.faults`
     /// for pool member i; shorter vectors leave the rest on the template

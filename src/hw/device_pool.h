@@ -27,7 +27,7 @@
 // while a host thread waits on device i. There is no pool-wide total
 // order of events across devices — cross-device time comparisons are
 // meaningless, and per-query timing must be computed per clock domain and
-// then reduced (see RegexpFpgaBatchPooled). MaxNow() exists only as a
+// then reduced (see ExecuteScanPlan in db/hudf.h). MaxNow() exists only as a
 // monotone pool-wide progress marker for throughput accounting.
 #pragma once
 
@@ -97,7 +97,7 @@ class DevicePool {
   /// the whole pool is busy — ShardCounts falls back to equal weights.
   int free_engines(int i) const;
 
-  /// In-flight slice accounting, kept by the pooled executors. Mirrored
+  /// In-flight slice accounting, kept by the scan executor. Mirrored
   /// into the doppio.hw.device.<i>.in_flight gauge.
   void NoteInflight(int i, int delta);
 

@@ -122,8 +122,7 @@ Result<HudfResult> CopyColumn(const HudfResult& source) {
   HudfResult out;
   out.stats = source.stats;
   const int64_t n = source.result->count();
-  DOPPIO_ASSIGN_OR_RETURN(out.result, Bat::New(ValueType::kInt16, n));
-  DOPPIO_RETURN_NOT_OK(out.result->AppendZeros(n));
+  DOPPIO_ASSIGN_OR_RETURN(out.result, ZeroedInt16Bat(n));
   if (n > 0) {
     std::memcpy(out.result->mutable_tail_data(), source.result->tail_data(),
                 static_cast<size_t>(n) * 2);
@@ -661,8 +660,8 @@ void QueryScheduler::ExecuteWave(Wave* wave) {
       for (auto& request : wave->fpga) {
         Request* raw = request.get();
         if (raw->prefix != nullptr) {
-          // Partial-extent requests scan a private [first_row, rows)
-          // span; a set slot shares ONE full scan, so they get their own
+          // Partial-extent requests scan only their private appended
+          // tail; a set slot shares ONE full scan, so they get their own
           // classic slot instead of joining (or seeding) a group.
           slots.push_back(Slot{{raw}, nullptr});
           continue;
@@ -720,36 +719,52 @@ void QueryScheduler::ExecuteWave(Wave* wave) {
     // equals the historical num_engines / batch_width.
     const int partitions = std::max(
         1, hal_->pool()->total_engines() / batch_width);
-    std::vector<FpgaBatchQuery> queries(slots.size());
-    std::vector<FpgaBatchQuery*> pointers;
-    pointers.reserve(queries.size());
-    for (size_t i = 0; i < slots.size(); ++i) {
+    // The wave is one scan plan over the pool: a query per slot, sharded
+    // across the devices, stealing work from stalled members.
+    ScanPlan plan;
+    plan.hal = hal_;
+    plan.pooled = true;
+    std::vector<std::unique_ptr<Bat>> results(slots.size());
+    Status status = Status::OK();
+    for (size_t i = 0; i < slots.size() && status.ok(); ++i) {
       const Slot& slot = slots[i];
       const Request& lead = *slot.members.front();
-      queries[i].input = lead.input;
-      queries[i].partitions = partitions;
-      queries[i].timing_only = lead.timing_only;
-      queries[i].rows = lead.admit_rows;  // admission snapshot
-      if (slot.set == nullptr && lead.prefix != nullptr) {
-        // Tail-only scan: the cached prefix already answers
-        // [0, prefix->rows()); the device scans the appended remainder.
-        queries[i].first_row =
-            std::min(lead.prefix->rows(), lead.admit_rows);
-      }
+      // Admission snapshot (min() is defensive — counts never shrink).
+      const int64_t rows =
+          std::min<int64_t>(lead.admit_rows, lead.input->count());
+      ScanQuery& query = plan.queries.emplace_back();
+      query.timing_only = lead.timing_only;
       if (slot.set != nullptr) {
-        queries[i].config = &slot.set->config;
-        queries[i].streams =
-            static_cast<int>(slot.set->member_fingerprints.size());
-        queries[i].span_name = "sched_fpga_set";
+        query.config = &slot.set->config;
+        query.streams = static_cast<int>(slot.set->member_fingerprints.size());
+        query.span_name = "sched_fpga_set";
+        query.route = "fpga-set";
       } else {
-        queries[i].config = &lead.program->config;
-        queries[i].span_name = "sched_fpga";
+        query.config = &lead.program->config;
+        query.span_name = "sched_fpga";
+        query.route = "fpga";
       }
-      pointers.push_back(&queries[i]);
+      status = query.SetView(*lead.input);
+      if (!status.ok()) break;
+      auto result = ZeroedInt16Bat(rows * query.streams, hal_->bat_allocator());
+      if (!result.ok()) {
+        status = result.status();
+        break;
+      }
+      results[i] = std::move(*result);
+      query.result = results[i].get();
+      int64_t first = 0;
+      if (slot.set == nullptr && lead.prefix != nullptr) {
+        // Partial-extent serve: the cached prefix answers [0, first);
+        // the device scans only the appended tail.
+        first = std::min(lead.prefix->rows(), rows);
+        query.slices.push_back({SliceSource::kCached, 0, first,
+                                lead.prefix->values.data(),
+                                lead.prefix->rows_matched});
+      }
+      query.AddDeviceSlices(first, rows, partitions);
     }
-    // Device-aware entry: shards the wave across the pool and steals work
-    // from stalled members; a pool of one takes the exact historical path.
-    Status status = RegexpFpgaBatchPooled(hal_, pointers);
+    if (status.ok()) status = ExecuteScanPlan(&plan);
     int set_slots = 0;
     int64_t set_queries = 0;
     for (size_t i = 0; i < slots.size(); ++i) {
@@ -758,20 +773,19 @@ void QueryScheduler::ExecuteWave(Wave* wave) {
         for (Request* raw : slot.members) raw->status = status;
         continue;
       }
+      ScanQuery& query = plan.queries[i];
       if (slot.set == nullptr) {
         Request& request = *slot.members.front();
-        request.hudf = std::move(queries[i].out);
+        request.hudf.result = std::move(results[i]);
+        request.hudf.stats = std::move(query.stats);
         request.batch_width = batch_width;
-        if (request.prefix != nullptr && request.status.ok()) {
-          MergePrefixResult(&request);
-        }
         continue;
       }
       ++set_slots;
-      SetWidthHistogram().Observe(static_cast<double>(queries[i].streams));
+      SetWidthHistogram().Observe(static_cast<double>(query.streams));
       // Demux: each member takes its pattern's stream. Duplicate-pattern
       // members share a stream; all but the last copy the column.
-      std::vector<int> uses(static_cast<size_t>(queries[i].streams), 0);
+      std::vector<int> uses(static_cast<size_t>(query.streams), 0);
       for (Request* raw : slot.members) {
         const int stream = slot.set->StreamOf(raw->program->fingerprint);
         DOPPIO_CHECK(stream >= 0);
@@ -779,8 +793,7 @@ void QueryScheduler::ExecuteWave(Wave* wave) {
       }
       for (Request* raw : slot.members) {
         const int stream = slot.set->StreamOf(raw->program->fingerprint);
-        HudfResult& source =
-            queries[i].set_outputs[static_cast<size_t>(stream)];
+        HudfResult& source = query.set_outputs[static_cast<size_t>(stream)];
         if (--uses[static_cast<size_t>(stream)] == 0) {
           raw->hudf = std::move(source);
         } else {
@@ -792,7 +805,7 @@ void QueryScheduler::ExecuteWave(Wave* wave) {
           raw->hudf = std::move(*copy);
         }
         raw->batch_width = batch_width;
-        raw->set_width = queries[i].streams;
+        raw->set_width = query.streams;
         ++set_queries;
       }
     }
@@ -823,72 +836,53 @@ void QueryScheduler::RunCpuRequest(Request* request) {
   const int64_t rows =
       std::min<int64_t>(request->admit_rows, input.count());
   HudfResult out;
-  out.stats.rows_scanned = rows;
-  Stopwatch cpu_watch;
   Status status;
 
   if (request->route == Route::kCpuProgram) {
     // Same compiled program the engines execute, through the registry-
     // chosen host backend — results bit-identical to the hardware
-    // functional pass by construction.
-    out.stats.strategy = "sched_cpu";
-    // Partial-extent serve: the cached prefix block answers [0, first);
-    // the host backend scans only the appended tail.
-    const int64_t first =
-        request->prefix != nullptr ? std::min(request->prefix->rows(), rows)
-                                   : 0;
-    auto result = Bat::New(ValueType::kInt16, rows);
-    if (result.ok()) {
+    // functional pass by construction. A host-only plan: its result stays
+    // off the shared arena, and it never touches the device pool.
+    ScanPlan plan;
+    plan.device = &hal_->device_config();
+    ScanQuery& query = plan.queries.emplace_back();
+    query.config = &request->program->config;
+    query.program = request->program->program;
+    query.route = "sched_cpu";
+    status = query.SetView(input);
+    auto result = ZeroedInt16Bat(rows);
+    if (status.ok()) status = result.status();
+    if (status.ok()) {
       out.result = std::move(*result);
-      status = out.result->AppendZeros(rows);
-      if (status.ok() && rows > first) {
-        const uint32_t* all_offsets =
-            reinterpret_cast<const uint32_t*>(input.tail_data());
-        JobParams params;
-        params.offsets = input.tail_data() + first * input.offset_width();
-        params.heap = input.heap()->data();
-        params.result =
-            out.result->mutable_tail_data() + first * sizeof(uint16_t);
-        params.count = rows - first;
-        params.offset_width = static_cast<int32_t>(input.offset_width());
-        params.heap_bytes = rows < input.count()
-                                ? static_cast<int64_t>(all_offsets[rows])
-                                : input.heap()->size_bytes();
-        params.config = request->program->config.vector.bytes();
-        HostSliceInfo info;
-        auto matches = RunHostSlice(hal_->device_config(), params,
-                                    request->program->program, &info);
-        if (matches.ok()) {
-          out.stats.rows_matched = *matches;
-          out.stats.pu_kernel = info.kernel;
-        } else {
-          status = matches.status();
-        }
+      query.result = out.result.get();
+      // Partial-extent serve: the cached prefix block answers [0, first);
+      // the host backend scans only the appended tail.
+      int64_t first = 0;
+      if (request->prefix != nullptr) {
+        first = std::min(request->prefix->rows(), rows);
+        query.slices.push_back({SliceSource::kCached, 0, first,
+                                request->prefix->values.data(),
+                                request->prefix->rows_matched});
       }
-      if (status.ok() && first > 0) {
-        std::memcpy(out.result->mutable_tail_data(),
-                    request->prefix->values.data(),
-                    static_cast<size_t>(first) * sizeof(uint16_t));
-        out.stats.rows_matched += request->prefix->rows_matched;
-        out.stats.strategy = "sched_cpu+cache_prefix";
-      }
-    } else {
-      status = result.status();
+      query.slices.push_back({SliceSource::kHost, first, rows - first});
+      status = ExecuteScanPlan(&plan);
+      out.stats = std::move(query.stats);
     }
   } else {
     // The pattern exceeds the deployed geometry: full software scan on
     // the lazy DFA (the planner's software strategy, shared with the
     // hybrid executor via db/hudf.h).
+    Stopwatch cpu_watch;
     auto scan = RunDfaScanInSoftware(input, request->pattern,
                                      request->options, rows);
     if (scan.ok()) {
       out = std::move(*scan);
+      out.stats.udf_software_seconds = cpu_watch.ElapsedSeconds();
     } else {
       status = scan.status();
     }
   }
 
-  out.stats.udf_software_seconds = cpu_watch.ElapsedSeconds();
   if (status.ok()) {
     request->hudf = std::move(out);
     // kCpuProgram results carry device Match semantics, so they are as
@@ -911,13 +905,9 @@ void QueryScheduler::ServeCachedRequest(Request* request) {
   out.stats.rows_scanned = request->admit_rows;
   out.stats.rows_matched = request->cached->rows_matched;
   Stopwatch copy_watch;
-  auto result = Bat::New(ValueType::kInt16, request->admit_rows,
-                         hal_->bat_allocator());
-  Status status = result.ok() ? Status::OK() : result.status();
-  if (status.ok()) {
-    out.result = std::move(*result);
-    status = out.result->AppendZeros(request->admit_rows);
-  }
+  auto result = ZeroedInt16Bat(request->admit_rows, hal_->bat_allocator());
+  Status status = result.status();
+  if (status.ok()) out.result = std::move(*result);
   if (status.ok() && request->admit_rows > 0) {
     std::memcpy(out.result->mutable_tail_data(),
                 request->cached->values.data(),
@@ -936,41 +926,6 @@ void QueryScheduler::ServeCachedRequest(Request* request) {
   } else {
     request->status = status;
   }
-}
-
-void QueryScheduler::MergePrefixResult(Request* request) {
-  // Stitch the tail-only scan back to full column extent: cached prefix
-  // values for [0, first_row), the scanned tail behind them. The merged
-  // column is bit-identical to a full scan of the snapshot (append-only
-  // columns: the prefix rows' strings are unchanged), so MaybeCacheResult
-  // can cache it under the current version afterwards.
-  const CachedResultBlock& prefix = *request->prefix;
-  const int64_t first = std::min(prefix.rows(), request->admit_rows);
-  HudfResult& hudf = request->hudf;
-  if (hudf.result == nullptr ||
-      hudf.result->count() != request->admit_rows - first) {
-    return;  // degenerate/unknown layout; leave the raw tail untouched
-  }
-  auto full = Bat::New(ValueType::kInt16, request->admit_rows,
-                       hal_->bat_allocator());
-  Status status = full.ok() ? Status::OK() : full.status();
-  if (status.ok()) status = (*full)->AppendZeros(request->admit_rows);
-  if (!status.ok()) {
-    request->status = status;
-    return;
-  }
-  std::memcpy((*full)->mutable_tail_data(), prefix.values.data(),
-              static_cast<size_t>(first) * sizeof(uint16_t));
-  if (request->admit_rows > first) {
-    std::memcpy((*full)->mutable_tail_data() + first * sizeof(uint16_t),
-                hudf.result->tail_data(),
-                static_cast<size_t>(request->admit_rows - first) *
-                    sizeof(uint16_t));
-  }
-  hudf.result = std::move(*full);
-  hudf.stats.rows_matched += prefix.rows_matched;
-  hudf.stats.rows_scanned = request->admit_rows;  // like a cache serve
-  hudf.stats.strategy += "+cache_prefix";
 }
 
 void QueryScheduler::MaybeCacheResult(Request* request) {

@@ -19,11 +19,11 @@
 //    *wave* of queries.
 //  * Cross-query batching — same-pattern queries (across sessions) share
 //    one compiled program via the LRU ProgramCache and are coalesced into
-//    one shared partitioned submission (db/hudf RegexpFpgaBatch): every
-//    slice of every query is in flight before any is waited on, so the
-//    wave overlaps across the device's engines in virtual time. Results
-//    demultiplex per query by construction — each job writes only its own
-//    query's result range.
+//    one scan plan (db/hudf ExecuteScanPlan): every query's slices are
+//    placed across the pool before any is awaited, so the wave overlaps
+//    across the devices' engines in virtual time. Results demultiplex per
+//    query by construction — each job writes only its own query's result
+//    range.
 //  * Pattern-set compilation (opt-in, Options::set_compilation) —
 //    *different* patterns scanning the same column coalesce into ONE
 //    set-compiled scan: the union NFA with tagged accepts emits each
@@ -244,9 +244,6 @@ class QueryScheduler {
   /// cache is off or the result is ineligible: degraded, timing-only,
   /// saturated — the completeness guard lives in ResultCache::Put).
   void MaybeCacheResult(internal::Request* request);
-  /// Stitches a tail-only scan (partial-extent cache serve) back to the
-  /// full admission extent: cached prefix values + scanned tail.
-  void MergePrefixResult(internal::Request* request);
 
   Hal* const hal_;
   const Options options_;

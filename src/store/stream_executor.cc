@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
-#include "hal/job_lifecycle.h"
 #include "hw/device_pool.h"
-#include "hw/kernel_backend.h"
 #include "hw/perf_model.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
@@ -41,44 +38,6 @@ obs::Gauge& OverlapOccupancyGauge() {
   return *g;
 }
 
-obs::JobTraceRecord MakeJobRecord(obs::TraceId trace,
-                                  const JobStatus& status) {
-  obs::JobTraceRecord record;
-  record.trace_id = trace;
-  record.queue_job_id = status.queue_job_id;
-  record.engine_id = status.engine_id;
-  record.device_id = status.device_id;
-  record.enqueue_time = status.enqueue_time;
-  record.dispatch_time = status.dispatch_time;
-  record.start_time = status.start_time;
-  record.collect_start_time = status.collect_start_time;
-  record.done_bit_time = status.done_bit_time;
-  record.finish_time = status.finish_time;
-  record.retries = status.retries;
-  record.fault_flags = status.fault_flags.load(std::memory_order_acquire);
-  record.matches = status.matches;
-  record.strings_processed = status.strings_processed;
-  record.bytes_streamed = status.bytes_streamed;
-  record.pu_kernel = status.pu_kernel;
-  return record;
-}
-
-/// One submitted (or degraded) slice of the current window.
-struct WindowSlice {
-  JobParams params;
-  FpgaJob job;
-  JobOutcome outcome;
-  bool fallback = false;
-  int device = 0;
-};
-
-/// Per-clock-domain virtual extent of one window's jobs.
-struct ClockExtent {
-  SimTime first_enqueue = std::numeric_limits<SimTime>::max();
-  SimTime last_finish = 0;
-  bool any = false;
-};
-
 }  // namespace
 
 Result<HudfResult> RegexpFpgaStreamed(Hal* hal, Pager* pager,
@@ -96,7 +55,6 @@ Result<HudfResult> RegexpFpgaStreamed(Hal* hal, Pager* pager,
   obs::Tracer& tracer = obs::Tracer::Global();
   const obs::TraceId trace = tracer.BeginQuery(options.span_name);
   DevicePool* pool = hal->pool();
-  const RetryPolicy& policy = hal->retry_policy();
   const DeviceConfig& dev_config = hal->device_config();
 
   HudfResult out;
@@ -114,12 +72,9 @@ Result<HudfResult> RegexpFpgaStreamed(Hal* hal, Pager* pager,
   // The result BAT must live in the shared arena: every window's jobs
   // write their row range of it directly from the (simulated) device.
   {
-    auto result =
-        Bat::New(ValueType::kInt16, snapshot.rows, hal->bat_allocator());
+    auto result = ZeroedInt16Bat(snapshot.rows, hal->bat_allocator());
     if (!result.ok()) return fail(result.status());
     out.result = std::move(*result);
-    Status st = out.result->AppendZeros(snapshot.rows);
-    if (!st.ok()) return fail(st);
   }
   if (snapshot.rows == 0 || W == 0) {
     out.stats.udf_software_seconds = udf_watch.ElapsedSeconds();
@@ -183,7 +138,11 @@ Result<HudfResult> RegexpFpgaStreamed(Hal* hal, Pager* pager,
     return Status::OK();
   };
 
-  Stopwatch wait_watch;
+  // The window loop's host time beyond its plans' own build (hal) and
+  // post-drain (udf) phases — the drains, page-in copies and per-segment
+  // cache puts — is booked as sim_host_seconds, as before the executor.
+  Stopwatch loop_watch;
+  double plan_udf_seconds = 0;
   double page_in_total = 0;
   for (size_t w = 0; w < W; ++w) {
     if (hit[w] != nullptr) continue;
@@ -202,74 +161,10 @@ Result<HudfResult> RegexpFpgaStreamed(Hal* hal, Pager* pager,
                          : 0;
     page_in_total += window_t_in;
 
-    // Slice this window across the pool (ShardCounts placement, exactly
-    // the proportional apportionment the pooled batch executor uses).
-    int partitions = options.partitions;
-    if (partitions <= 0) partitions = pool->total_engines();
-    partitions = static_cast<int>(
-        std::min<int64_t>(partitions, std::max<int64_t>(rows, 1)));
-    const int64_t chunk = (rows + partitions - 1) / partitions;
-    const uint32_t* window_offsets =
-        reinterpret_cast<const uint32_t*>(view[w].offsets);
-
-    std::vector<WindowSlice> slices;
-    slices.reserve(static_cast<size_t>(partitions));
-    for (int p = 0; p < partitions; ++p) {
-      const int64_t first = p * chunk;
-      if (first >= rows) break;
-      const int64_t span = std::min<int64_t>(chunk, rows - first);
-      if (span <= 0) continue;
-      slices.emplace_back();
-      WindowSlice& slice = slices.back();
-      JobParams& params = slice.params;
-      params.offsets = view[w].offsets + first * sizeof(uint32_t);
-      params.heap = view[w].heap;
-      params.result =
-          out.result->mutable_tail_data() + (row_base[w] + first) * 2;
-      params.count = span;
-      params.offset_width = sizeof(uint32_t);
-      params.heap_bytes =
-          first + span < rows
-              ? static_cast<int64_t>(window_offsets[first + span])
-              : view[w].heap_bytes;
-      params.config = config.vector.bytes();
-    }
-
-    // Deal slices to devices proportional to free engines, then submit
-    // them all before awaiting any (the window's slices overlap across
-    // engines in virtual time, same as a resident partitioned scan).
-    {
-      std::vector<int> quota =
-          pool->ShardCounts(static_cast<int>(slices.size()));
-      int dev = 0;
-      for (WindowSlice& slice : slices) {
-        while (quota[static_cast<size_t>(dev)] == 0) {
-          dev = (dev + 1) % pool->size();
-        }
-        slice.device = dev;
-        --quota[static_cast<size_t>(dev)];
-        dev = (dev + 1) % pool->size();
-      }
-    }
-    for (WindowSlice& slice : slices) {
-      Result<FpgaJob> job = SubmitJobWithRetry(pool->device(slice.device),
-                                               slice.params, policy,
-                                               &slice.outcome);
-      if (job.ok()) {
-        slice.job = std::move(*job);
-        pool->NoteInflight(slice.device, +1);
-      } else if (IsFallbackEligible(job.status())) {
-        slice.fallback = true;
-      } else {
-        unpin_all();
-        return fail(job.status());
-      }
-    }
-
-    // Double-buffering: with this window's jobs in flight, page the NEXT
-    // scanned window in now so its (modeled) transfer overlaps this
-    // window's execution. A budget too tight to hold two windows degrades
-    // gracefully to serial page-then-scan.
+    // Double-buffering: page the NEXT scanned window in before this one
+    // executes, so its (modeled) transfer overlaps this window's
+    // execution in the stitch below. A budget too tight to hold two
+    // windows degrades gracefully to serial page-then-scan.
     if (options.overlap) {
       for (size_t n = w + 1; n < W; ++n) {
         if (hit[n] != nullptr) continue;
@@ -286,78 +181,48 @@ Result<HudfResult> RegexpFpgaStreamed(Hal* hal, Pager* pager,
       }
     }
 
-    // Await this window's jobs; degrade what the device could not finish.
-    std::vector<ClockExtent> extents(static_cast<size_t>(pool->size()));
-    bool degraded = false;
-    for (WindowSlice& slice : slices) {
-      if (!slice.fallback) {
-        Status st = AwaitJobWithRecovery(pool->device(slice.device),
-                                         &slice.job, slice.params, policy,
-                                         &slice.outcome);
-        pool->NoteInflight(slice.device, -1);
-        if (st.ok()) {
-          const JobStatus& status = slice.job.status();
-          if (trace != obs::kInvalidTraceId) {
-            tracer.RecordJob(MakeJobRecord(trace, status));
-          }
-          ClockExtent& extent = extents[static_cast<size_t>(slice.device)];
-          extent.any = true;
-          extent.first_enqueue =
-              std::min(extent.first_enqueue, status.enqueue_time);
-          extent.last_finish =
-              std::max(extent.last_finish, status.finish_time);
-          out.stats.rows_matched += status.matches;
-          if (out.stats.pu_kernel.empty()) {
-            out.stats.pu_kernel = status.pu_kernel;
-          }
-          out.stats.functional_bytes += status.functional_bytes;
-          out.stats.functional_seconds += status.functional_host_seconds;
-        } else if (IsFallbackEligible(st)) {
-          slice.fallback = true;
-        } else {
-          unpin_all();
-          return fail(st);
-        }
-        slice.job.Release();
-      }
-      out.stats.job_retries += slice.outcome.retries;
-      if (slice.outcome.ok && slice.outcome.fault_seen) {
-        out.stats.faults_recovered += 1;
-      }
-      pool->NoteSlice(slice.device, slice.params.count);
+    // The window is one scan plan over the pool, sliced exactly like a
+    // resident pooled scan; its rows land at row_base[w] of the result.
+    ScanPlan plan;
+    plan.hal = hal;
+    plan.pooled = true;
+    ScanQuery& window = plan.queries.emplace_back();
+    window.offsets = view[w].offsets;
+    window.heap = view[w].heap;
+    window.view_rows = rows;
+    window.heap_bytes = view[w].heap_bytes;
+    window.result = out.result.get();
+    window.result_offset = row_base[w];
+    window.config = &config;
+    window.trace = trace;
+    window.route = "fpga-streamed";
+    window.AddDeviceSlices(0, rows, options.partitions > 0
+                                        ? options.partitions
+                                        : pool->total_engines());
+    if (Status st = ExecuteScanPlan(&plan); !st.ok()) {
+      unpin_all();
+      return fail(st);
     }
-    for (WindowSlice& slice : slices) {
-      if (!slice.fallback) continue;
-      degraded = true;
-      if (trace != obs::kInvalidTraceId) {
-        tracer.RecordInstant(trace, "sw_fallback",
-                             pool->device(slice.device)->now());
-      }
-      auto matches = RunHostSlice(dev_config, slice.params);
-      if (!matches.ok()) {
-        unpin_all();
-        return fail(matches.status());
-      }
-      out.stats.rows_matched += *matches;
-      out.stats.fallback_rows += slice.params.count;
-    }
-
-    double window_exec = 0;
-    for (const ClockExtent& extent : extents) {
-      if (!extent.any) continue;
-      window_exec = std::max(
-          window_exec,
-          SecondsFromPicos(extent.last_finish - extent.first_enqueue));
-    }
+    const QueryStats& ws = window.stats;
+    out.stats.rows_matched += ws.rows_matched;
+    if (out.stats.pu_kernel.empty()) out.stats.pu_kernel = ws.pu_kernel;
+    out.stats.functional_bytes += ws.functional_bytes;
+    out.stats.functional_seconds += ws.functional_seconds;
+    out.stats.job_retries += ws.job_retries;
+    out.stats.faults_recovered += ws.faults_recovered;
+    out.stats.fallback_rows += ws.fallback_rows;
+    if (ws.fallback_rows > 0) out.stats.strategy = ws.strategy;
+    out.stats.hal_seconds += ws.hal_seconds;
+    plan_udf_seconds += ws.udf_software_seconds;
     t_in.push_back(window_t_in);
-    d_exec.push_back(window_exec);
+    d_exec.push_back(ws.hw_seconds);
     out.stats.windows_streamed += 1;
     WindowsStreamedCounter().Add(1);
 
     // Offer the clean window back to the cache under the segment's stable
     // (id, version=1) identity so a repeat scan skips it entirely. The
     // cache's own completeness guard refuses saturated blocks.
-    if (options.result_cache != nullptr && !degraded) {
+    if (options.result_cache != nullptr && ws.fallback_rows == 0) {
       const uint8_t* tail = out.result->tail_data() + row_base[w] * 2;
       std::vector<uint16_t> values(static_cast<size_t>(rows));
       std::memcpy(values.data(), tail,
@@ -400,12 +265,12 @@ Result<HudfResult> RegexpFpgaStreamed(Hal* hal, Pager* pager,
         (serial - overlapped) / serial * 1e6));
   }
 
-  if (out.stats.fallback_rows > 0) {
-    out.stats.strategy = "fpga-streamed+sw_fallback";
-  }
-  out.stats.sim_host_seconds = wait_watch.ElapsedSeconds();
+  out.stats.sim_host_seconds =
+      std::max(0.0, loop_watch.ElapsedSeconds() - out.stats.hal_seconds -
+                        plan_udf_seconds);
   out.stats.udf_software_seconds =
-      std::max(0.0, udf_watch.ElapsedSeconds() - out.stats.sim_host_seconds);
+      std::max(0.0, udf_watch.ElapsedSeconds() - out.stats.hal_seconds -
+                        out.stats.sim_host_seconds);
   tracer.EndQuery(trace);
   return out;
 }

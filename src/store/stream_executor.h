@@ -1,13 +1,19 @@
 // Double-buffered streaming execution over a segmented column (ROADMAP
-// item 4): the out-of-core counterpart of db/hudf's batch executors.
+// item 4): the out-of-core counterpart of db/hudf's resident scans.
 //
 // A SegmentSnapshot is scanned one segment-window at a time. Each window
-// is pinned into the shared arena through the pager, sliced across the
-// device pool's engines exactly like a resident scan (placement via
-// ShardCounts, per-slice fault degradation via RunHostSlice), and its
-// results land in the window's disjoint row range of one result BAT — so
-// the stitched column of match values is bit-identical to scanning the
-// same rows fully resident.
+// is pinned into the shared arena through the pager and run as one scan
+// plan over the device pool through the same executor as a resident
+// scan (db/hudf.h ExecuteScanPlan: ShardCounts placement, per-slice
+// fault degradation to the host), and its results land in the window's
+// disjoint row range of one result BAT — so the stitched column of match
+// values is bit-identical to scanning the same rows fully resident.
+// Pinning, prefetch, the per-segment cache probe/put and the
+// double-buffer stitch below stay here. Host phases: the windows' plan
+// builds are hal_seconds and their post-drain phases (software fallback)
+// udf_software_seconds; the rest of the window loop — drains, page-in
+// copies, per-segment cache puts — is sim_host_seconds, as it was
+// before the executor.
 //
 // Timing follows the repo's virtual-time discipline. A window that had to
 // be paged in pays the modeled QPI transfer (TransferSeconds over its

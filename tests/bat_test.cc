@@ -89,6 +89,17 @@ TEST(BatTest, ShortResultColumn) {
   for (int i = 0; i < 4; ++i) EXPECT_EQ(shorts.GetInt16(i), 0);
 }
 
+TEST(BatTest, AppendZeroRowsToEmptyBat) {
+  // An empty BAT owns no storage yet; zero-row scans append zero rows to
+  // exactly such a result column (a null memset under UBSan before).
+  Bat shorts(ValueType::kInt16);
+  ASSERT_TRUE(shorts.AppendZeros(0).ok());
+  EXPECT_EQ(shorts.count(), 0);
+  ASSERT_TRUE(shorts.AppendZeros(2).ok());
+  EXPECT_EQ(shorts.count(), 2);
+  EXPECT_EQ(shorts.GetInt16(1), 0);
+}
+
 TEST(BatTest, StringBatUsesOffsetsIntoHeap) {
   Bat strings(ValueType::kString);
   ASSERT_TRUE(strings.AppendString("alpha").ok());

@@ -213,6 +213,32 @@ std::vector<std::pair<int64_t, int64_t>> SliceDeltas(DevicePool* pool,
   return delta;
 }
 
+TEST(DevicePoolTest, OneDeviceScansAreAttributedToDeviceZero) {
+  // The device-0 entry points run through the same executor as the
+  // pooled ones, so their slices reach device 0's counters too.
+  const int kRows = 3000;
+  Hal hal(PoolHal(1));
+  Bat input(ValueType::kString, hal.bat_allocator());
+  FillInput(&hal, &input, kRows);
+  auto config = hal.CompileConfig("Strasse");
+  ASSERT_TRUE(config.ok());
+
+  auto partitioned = SliceDeltas(hal.pool(), [&]() {
+    auto out = RegexpFpgaPartitioned(&hal, input, *config);
+    EXPECT_TRUE(out.ok()) << out.status().ToString();
+  });
+  ASSERT_EQ(partitioned.size(), 1u);
+  EXPECT_EQ(partitioned[0].first, hal.device_config().num_engines);
+  EXPECT_EQ(partitioned[0].second, kRows);
+
+  auto single = SliceDeltas(hal.pool(), [&]() {
+    auto out = RegexpFpga(&hal, input, *config);
+    EXPECT_TRUE(out.ok()) << out.status().ToString();
+  });
+  EXPECT_EQ(single[0].first, 1);
+  EXPECT_EQ(single[0].second, kRows);
+}
+
 TEST(DevicePoolTest, ShardPlacementIsDeterministic) {
   const int kRows = 4000;
   auto run_once = [&]() {

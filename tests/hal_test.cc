@@ -146,6 +146,18 @@ TEST(HudfTest, RegexpFpgaReportsPhaseBreakdown) {
   EXPECT_EQ(result->result->count(), 10'000);
 }
 
+TEST(HudfTest, RegexpFpgaPatternReportsSoftwarePhase) {
+  // The pattern entry point once subtracted the compile time from a UDF
+  // stopwatch that started after the compile, clamping the phase to 0.
+  Hal hal(SmallHal());
+  Bat input(ValueType::kString, hal.bat_allocator());
+  ASSERT_TRUE(input.AppendString("7 Berner Strasse|61234").ok());
+  auto result = RegexpFpga(&hal, input, "Strasse");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->stats.rows_matched, 1);
+  EXPECT_GT(result->stats.udf_software_seconds, 0.0);
+}
+
 TEST(HudfTest, PartitionedMatchesSingleJob) {
   // The engine-side HUDF splits one query across all four engines
   // (paper §7.5); results must be identical to the single-job run and

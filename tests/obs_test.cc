@@ -304,6 +304,28 @@ TEST(TracerTest, TracedHudfQueryReconcilesWithQueryStats) {
             CountOccurrences(json, "\"ph\":\"E\""));
 }
 
+TEST(TracerTest, FailedSubmitStillExportsClosedSpan) {
+  // A job the device refuses for good (memory outside the shared region
+  // is not fallback-eligible) fails the query; its span must still be
+  // closed, or the Chrome export silently drops it.
+  ScopedTracing scoped;
+  Hal hal(SmallHal());
+  Bat input(ValueType::kString);  // host heap, outside the shared arena
+  ASSERT_TRUE(input.AppendString("7 Berner Strasse|61234").ok());
+  auto out = RegexpFpga(&hal, input, "Strasse");
+  ASSERT_FALSE(out.ok());
+  EXPECT_TRUE(out.status().IsInvalidArgument()) << out.status().ToString();
+  EXPECT_NE(out.status().ToString().find("shared region"), std::string::npos)
+      << out.status().ToString();
+
+  std::string json = obs::Tracer::Global().ToChromeTraceJson();
+  ASSERT_TRUE(obs::CheckJsonSyntax(json).ok())
+      << obs::CheckJsonSyntax(json).ToString();
+  EXPECT_EQ(CountOccurrences(json, "\"name\":\"regexp_fpga\""), 2) << json;
+  EXPECT_EQ(CountOccurrences(json, "\"ph\":\"B\""),
+            CountOccurrences(json, "\"ph\":\"E\""));
+}
+
 TEST(TracerTest, ZeroRowTracedQueryExportsValidJson) {
   // Zero-row smoke (satellite: div-by-zero fix): a traced empty query
   // must not leak inf/NaN into any exported document.

@@ -328,7 +328,7 @@ TEST(PatternSetPropertyTest, DeviceSetScanMatchesSoloScans) {
   query.config = &*set;
   query.streams = static_cast<int>(patterns.size());
   std::vector<FpgaBatchQuery*> batch{&query};
-  Status st = RegexpFpgaBatch(&hal, batch);
+  Status st = RegexpFpgaBatchPooled(&hal, batch);
   ASSERT_TRUE(st.ok()) << st.ToString();
   EXPECT_EQ(query.out.stats.strategy, "fpga-set");
   ASSERT_EQ(query.set_outputs.size(), patterns.size());

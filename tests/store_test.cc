@@ -15,6 +15,7 @@
 #include "db/hudf.h"
 #include "hal/hal.h"
 #include "mem/arena.h"
+#include "obs/metrics.h"
 #include "sched/result_cache.h"
 #include "store/pager.h"
 #include "store/segment.h"
@@ -498,6 +499,38 @@ TEST_F(StreamTest, PerSegmentCacheSkipsHitWindows) {
   EXPECT_EQ(after->stats.windows_streamed,
             static_cast<int32_t>(grown.segments.size() -
                                  snapshot.segments.size()));
+}
+
+TEST_F(StreamTest, SubmitFailuresDegradeAndCountFallbackRows) {
+  // Every slice is refused at submit: the windows degrade to the host,
+  // stay bit-identical, and their rows reach doppio.db.fallback_rows
+  // exactly as a resident scan's do.
+  Hal::Options options = TestHal();
+  options.device.faults.enabled = true;
+  options.device.faults.submit_failure_rate = 1.0;
+  Hal hal(options);
+  const std::vector<std::string> rows = MakeRows(1024);
+  const std::vector<int16_t> expected = ResidentResult(&hal, rows, "Strasse");
+
+  Pager pager(hal.arena(), PagerOptions{});
+  auto column = BuildSegmented(&pager, rows, 16 * 1024);
+  SegmentSnapshot snapshot = column->Snapshot();
+  ASSERT_GE(snapshot.segments.size(), 2u);
+  auto config = hal.CompileConfig("Strasse");
+  ASSERT_TRUE(config.ok());
+
+  const obs::Counter& fallback_rows =
+      *obs::MetricsRegistry::Global().GetCounter("doppio.db.fallback_rows");
+  const int64_t before = fallback_rows.Value();
+  auto out = RegexpFpgaStreamed(&hal, &pager, snapshot, *config);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(out->stats.fallback_rows, snapshot.rows);
+  EXPECT_EQ(out->stats.strategy, "fpga-streamed+sw_fallback");
+  EXPECT_EQ(fallback_rows.Value() - before, out->stats.fallback_rows);
+  for (int64_t i = 0; i < snapshot.rows; ++i) {
+    ASSERT_EQ(out->result->GetInt16(i), expected[static_cast<size_t>(i)])
+        << "row " << i;
+  }
 }
 
 // --- Engine integration ----------------------------------------------------
