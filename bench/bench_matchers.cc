@@ -214,10 +214,11 @@ void BM_ConfigCompile(benchmark::State& state) {
 BENCHMARK(BM_ConfigCompile)->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------
-// Host backend trajectory: scalar vs. SIMD bit-parallel on four workload
-// shapes. Each shape stresses a different accelerated path of the SIMD
-// backend; the scalar-lazy-DFA baseline is what every shape ran on before
-// the backend registry existed.
+// Host backend trajectory: scalar vs. SIMD on five workload shapes. Each
+// shape stresses a different accelerated path of the SIMD backend (Q3's
+// ten-byte start set: the widened reset-state skip plus the accept-token
+// row filter); the scalar-lazy-DFA baseline is what every shape ran on
+// before the backend registry existed.
 // ---------------------------------------------------------------------------
 
 struct BackendWorkload {
@@ -231,6 +232,7 @@ const std::vector<BackendWorkload>& BackendWorkloads() {
       {"word_automaton", "8[0-9][0-9][0-9][0-9]"},
       {"multi_stage", "Str.*8[0-9][0-9][0-9]"},
       {"prefilter_dfa", QueryPattern(EvalQuery::kQ2)},
+      {"wide_start_dfa", QueryPattern(EvalQuery::kQ3)},
   };
   return workloads;
 }
@@ -306,13 +308,13 @@ void BM_HostBackendScalarLazyDfa(benchmark::State& state) {
                  PuKernelOptions::Force::kLazyDfa);
 }
 BENCHMARK(BM_HostBackendScalarLazyDfa)
-    ->DenseRange(0, 3)
+    ->DenseRange(0, 4)
     ->Unit(benchmark::kMillisecond);
 
 void BM_HostBackendSimd(benchmark::State& state) {
   RunHostBackend(state, BackendId::kCpuSimd, PuKernelOptions::Force::kAuto);
 }
-BENCHMARK(BM_HostBackendSimd)->DenseRange(0, 3)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_HostBackendSimd)->DenseRange(0, 4)->Unit(benchmark::kMillisecond);
 
 /// Measures every workload on all three host configurations and writes
 /// the tracked BENCH_matchers.json. Returns nonzero on any correctness or

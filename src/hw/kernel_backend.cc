@@ -67,8 +67,9 @@ class ScalarExecution : public HostExecution {
 };
 
 /// The SIMD backend's execution: bit-parallel Shift-And for chain-shaped
-/// programs, start-byte-prefiltered lazy DFA when the escape-byte set is
-/// small, scalar otherwise (forcing this backend never fails).
+/// programs, the lazy DFA behind its two exact skips (reset-state skip and
+/// accept-token row filter) when the program has CompiledPuProgram::
+/// dfa_skips(), scalar otherwise (forcing this backend never fails).
 class SimdExecution : public HostExecution {
  public:
   explicit SimdExecution(std::shared_ptr<const CompiledPuProgram> program)
@@ -100,13 +101,8 @@ class SimdExecution : public HostExecution {
                                    static_cast<size_t>(num_patterns));
     if (!bit_parallel) {
       member_bp_.clear();
-      const std::vector<uint8_t>& sb = program_->start_bytes();
-      if (program_->kernel() == PuKernelKind::kLazyDfa && !sb.empty() &&
-          static_cast<int>(sb.size()) <= simd::kMaxScanBytes) {
-        for (size_t i = 0; i < sb.size(); ++i) {
-          prefilter_.bytes[i] = sb[i];
-        }
-        prefilter_.count = static_cast<int>(sb.size());
+      if (const LazyDfaSkips* skips = program_->dfa_skips()) {
+        prefilter_.bytes = &skips->start;
         dfa_ = std::make_unique<LazyDfaCache>(program_.get());
       }
       // Overflow fallback for the prefiltered DFA, or the whole
@@ -128,6 +124,7 @@ class SimdExecution : public HostExecution {
       return first;
     }
     if (dfa_ != nullptr) {
+      if (!program_->MayAccept(input, level_)) return 0;
       uint16_t index = 0;
       if (dfa_->Run(input, &index, &prefilter_)) return index;
       // Bounded cache overflowed mid-string: identical semantics through
@@ -147,7 +144,13 @@ class SimdExecution : public HostExecution {
       }
       return;
     }
-    if (dfa_ != nullptr && dfa_->RunSet(input, match, &prefilter_)) return;
+    if (dfa_ != nullptr) {
+      if (!program_->MayAccept(input, level_)) {
+        std::fill(match, match + program_->num_patterns(), uint16_t{0});
+        return;
+      }
+      if (dfa_->RunSet(input, match, &prefilter_)) return;
+    }
     scalar_->MatchSet(input, match);
   }
 
@@ -191,8 +194,8 @@ class CpuSimdBackend : public KernelBackend {
       return false;  // forced interpreter: honor it
     }
     // Set programs: bit-parallel per member when every member is
-    // chain-shaped; otherwise the prefiltered-DFA test below applies to
-    // the union as a whole (RunSet shares the reset-state skip).
+    // chain-shaped; otherwise the skip test below applies to the union as
+    // a whole (RunSet shares both skips).
     if (program.num_patterns() > 1 && program.members_chain_shaped()) {
       return true;
     }
@@ -200,11 +203,8 @@ class CpuSimdBackend : public KernelBackend {
     // chains are <= 64 matchers by TokenNfa::Validate, so they always
     // fit one word).
     if (!program.chain_state_order().empty()) return true;
-    // Otherwise the lazy DFA accelerates via the start-byte prefilter
-    // when the escape-byte set is small enough for the SIMD scan.
-    const size_t sb = program.start_bytes().size();
-    return program.kernel() == PuKernelKind::kLazyDfa && sb >= 1 &&
-           sb <= static_cast<size_t>(simd::kMaxScanBytes);
+    // Otherwise the lazy DFA accelerates through its exact skips.
+    return program.dfa_skips() != nullptr;
   }
   std::unique_ptr<HostExecution> NewExecution(
       std::shared_ptr<const CompiledPuProgram> program) const override {

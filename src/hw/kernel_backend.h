@@ -12,12 +12,13 @@
 //   * cpu-scalar — ProcessingUnit's compiled kernels (literal substring,
 //     lazy DFA, NFA loop). Always available; the reference host backend.
 //   * cpu-simd   — the bit-parallel Shift-And engine (regex/bitparallel)
-//     for chain-shaped word-sized programs, or the lazy DFA fronted by
-//     the SIMD start-byte prefilter when the program's escape-byte set
-//     is small. Falls back to scalar execution internally for programs
-//     it cannot accelerate, so it is safe to force anywhere. Results are
-//     bit-identical to cpu-scalar by construction on every host (the
-//     SIMD primitives carry scalar fallbacks).
+//     for chain-shaped word-sized programs, or the lazy DFA behind its
+//     two exact SIMD skips (reset-state skip, accept-token row filter)
+//     when CompiledPuProgram::dfa_skips() says the program is eligible
+//     (at most 32 start bytes). Falls back to scalar execution internally
+//     for programs it cannot accelerate, so it is safe to force anywhere.
+//     Results are bit-identical to cpu-scalar by construction on every
+//     host (the SIMD primitives carry scalar fallbacks).
 //   * fpga-sim   — the cycle-level simulated device (hw/fpga_device). It
 //     cannot run a host slice; it participates in the registry for
 //     identity, routing and forcing.

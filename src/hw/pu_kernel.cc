@@ -69,6 +69,7 @@ Result<std::shared_ptr<const CompiledPuProgram>> CompiledPuProgram::Compile(
       static_cast<size_t>(program->num_patterns_), 0);
 
   std::vector<uint64_t> pred_masks(prog_nfa.states.size(), 0);
+  std::vector<int> edge_tokens;  // trigger token of each edge
   for (size_t s = 0; s < prog_nfa.states.size(); ++s) {
     const HwState& state = prog_nfa.states[s];
     for (int p : state.pred_states) {
@@ -100,6 +101,7 @@ Result<std::shared_ptr<const CompiledPuProgram>> CompiledPuProgram::Compile(
         edge.byte_mask[static_cast<size_t>(b)] = mask;
       }
       program->edges_.push_back(std::move(edge));
+      edge_tokens.push_back(t);
     }
   }
 
@@ -172,7 +174,78 @@ Result<std::shared_ptr<const CompiledPuProgram>> CompiledPuProgram::Compile(
                              : PuKernelKind::kLazyDfa;
       break;
   }
+
+  const int num_start = static_cast<int>(program->start_bytes_.size());
+  if (program->kernel_ == PuKernelKind::kLazyDfa && num_start >= 1 &&
+      num_start <= kMaxSkipBytes) {
+    LazyDfaSkips& skips = program->dfa_skips_.emplace();
+    for (uint8_t b : program->start_bytes_) skips.start.Insert(b);
+    // Accept-token filter: anchor each distinct accept token on its
+    // fewest-bytes chain position.
+    std::vector<char> seen(prog_nfa.tokens.size(), 0);
+    for (size_t e = 0; e < program->edges_.size(); ++e) {
+      const Edge& edge = program->edges_[e];
+      const size_t token = static_cast<size_t>(edge_tokens[e]);
+      if (!prog_nfa.states[static_cast<size_t>(edge.state)].accept ||
+          seen[token] != 0) {
+        continue;
+      }
+      seen[token] = 1;
+      int anchor = 0;
+      int best = 257;  // more than any position's byte count
+      for (int j = 0; j < edge.chain_len; ++j) {
+        int count = 0;
+        for (uint64_t mask : edge.byte_mask) count += (mask >> j) & 1;
+        if (count < best) {
+          best = count;
+          anchor = j;
+        }
+      }
+      skips.accept_tokens.push_back({static_cast<int>(e), anchor});
+      for (int b = 0; b < 256; ++b) {
+        if ((edge.byte_mask[static_cast<size_t>(b)] >> anchor) & 1) {
+          skips.accept_anchors.Insert(static_cast<uint8_t>(b));
+        }
+      }
+    }
+    if (skips.accept_anchors.size() > kMaxSkipBytes) {
+      skips.accept_tokens.clear();
+      skips.accept_anchors = simd::ByteSet{};
+    }
+  }
   return std::shared_ptr<const CompiledPuProgram>(std::move(program));
+}
+
+bool CompiledPuProgram::MayAccept(std::string_view input,
+                                  simd::SimdLevel level) const {
+  if (!dfa_skips_.has_value() || dfa_skips_->accept_tokens.empty()) {
+    return true;
+  }
+  const LazyDfaSkips& skips = *dfa_skips_;
+  for (size_t c = simd::FindByteSetAtLevel(input, 0, skips.accept_anchors,
+                                           level);
+       c != std::string_view::npos;
+       c = simd::FindByteSetAtLevel(input, c + 1, skips.accept_anchors,
+                                    level)) {
+    const uint8_t byte = static_cast<uint8_t>(input[c]);
+    for (const LazyDfaSkips::AcceptToken& token : skips.accept_tokens) {
+      const Edge& edge = edges_[static_cast<size_t>(token.edge)];
+      const size_t anchor = static_cast<size_t>(token.anchor);
+      const size_t len = static_cast<size_t>(edge.chain_len);
+      if (((edge.byte_mask[byte] >> anchor) & 1) == 0 || c < anchor ||
+          c - anchor + len > input.size()) {
+        continue;
+      }
+      const char* window = input.data() + (c - anchor);
+      size_t j = 0;
+      while (j < len &&
+             ((edge.byte_mask[static_cast<uint8_t>(window[j])] >> j) & 1)) {
+        ++j;
+      }
+      if (j == len) return true;
+    }
+  }
+  return false;
 }
 
 LazyDfaCache::LazyDfaCache(const CompiledPuProgram* program)
@@ -233,12 +306,13 @@ bool LazyDfaCache::Run(std::string_view input, uint16_t* match_index,
   const int32_t num_classes = program_->num_byte_classes();
   int32_t sid = 0;
   for (size_t i = 0; i < input.size(); ++i) {
-    if (sid == 0 && prefilter != nullptr) {
+    if (sid == 0 && prefilter != nullptr &&
+        !prefilter->bytes->Contains(static_cast<uint8_t>(input[i]))) {
       // Reset state: SIMD-skip to the next byte that can activate any
       // edge. Skipped bytes provably self-loop on state 0, which never
       // accepts, so the result is identical to stepping them.
-      i = simd::FindByteSetAtLevel(input, i, prefilter->bytes.data(),
-                                   prefilter->count, prefilter->level);
+      i = simd::FindByteSetAtLevel(input, i + 1, *prefilter->bytes,
+                                   prefilter->level);
       if (i == std::string_view::npos) break;
     }
     const int32_t cls = classes[static_cast<uint8_t>(input[i])];
@@ -275,11 +349,12 @@ bool LazyDfaCache::RunSet(std::string_view input, uint16_t* match,
   int32_t sid = 0;
   uint64_t matched = 0;
   for (size_t i = 0; i < input.size(); ++i) {
-    if (sid == 0 && prefilter != nullptr) {
+    if (sid == 0 && prefilter != nullptr &&
+        !prefilter->bytes->Contains(static_cast<uint8_t>(input[i]))) {
       // Reset state never accepts (for any stream), so the skip is sound
       // exactly as in Run().
-      i = simd::FindByteSetAtLevel(input, i, prefilter->bytes.data(),
-                                   prefilter->count, prefilter->level);
+      i = simd::FindByteSetAtLevel(input, i + 1, *prefilter->bytes,
+                                   prefilter->level);
       if (i == std::string_view::npos) break;
     }
     const int32_t cls = classes[static_cast<uint8_t>(input[i])];

@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -58,6 +59,26 @@ struct PuKernelOptions {
   /// miss makes the PU re-run the current string through the NFA loop;
   /// cached territory keeps serving fast.
   int max_dfa_states = 4096;
+};
+
+/// The SIMD backend's two exact skips around a lazy-DFA run
+/// (CompiledPuProgram::dfa_skips()).
+struct LazyDfaSkips {
+  /// Reset-state skip: the start set (1..CompiledPuProgram::kMaxSkipBytes
+  /// members).
+  simd::ByteSet start;
+  /// One accept edge's trigger token, anchored on its chain position
+  /// that matches the fewest bytes. Candidates are occurrences of an
+  /// anchor byte, verified against the edge's byte_mask window.
+  struct AcceptToken {
+    int edge;    // index into CompiledPuProgram::edges()
+    int anchor;  // chain position
+  };
+  /// Accept-token row filter (CompiledPuProgram::MayAccept): one entry
+  /// per distinct accept token; empty — no filter — when the union of
+  /// the anchor bytes exceeds CompiledPuProgram::kMaxSkipBytes.
+  std::vector<AcceptToken> accept_tokens;
+  simd::ByteSet accept_anchors;
 };
 
 /// The immutable, shareable compilation of one configuration vector:
@@ -137,8 +158,34 @@ class CompiledPuProgram {
   /// Bytes that can move the machine out of the empty (reset) state: the
   /// first-position bytes of every start-gated edge. While no state is
   /// active, any byte outside this set provably leaves the machine in the
-  /// reset state, so host backends may skip-scan to the next occurrence.
+  /// reset state, so host backends may skip-scan to the next occurrence
+  /// (dfa_skips()->start is the same set, ready to scan).
   const std::vector<uint8_t>& start_bytes() const { return start_bytes_; }
+
+  /// Largest start set (and accept-anchor union) the SIMD backend's
+  /// lazy-DFA skips take. The skip wins where start bytes are rare in
+  /// the text and loses where they are common; an eighth of the byte
+  /// space keeps the wide-set losses measured on the address corpus out
+  /// (docs/BACKENDS.md).
+  static constexpr int kMaxSkipBytes = 32;
+
+  /// The SIMD backend's exact skips around this program's lazy DFA,
+  /// analyzed once here; null when the program is not eligible. Eligible
+  /// means a lazy-DFA program whose start set has 1..kMaxSkipBytes
+  /// members — the one predicate both CpuSimdBackend::Supports and the
+  /// SIMD execution read.
+  const LazyDfaSkips* dfa_skips() const {
+    return dfa_skips_.has_value() ? &*dfa_skips_ : nullptr;
+  }
+
+  /// The accept-token row filter: false only when no accept edge's
+  /// trigger token occurs anywhere in `input`. A stream first accepts when
+  /// an accept state's trigger edge fires, which needs that edge's whole
+  /// token chain to match the bytes ending there — so false proves every
+  /// stream's result is 0. True means "run the DFA", and is the answer
+  /// for every program without the filter (dfa_skips() null or its
+  /// accept_tokens empty).
+  bool MayAccept(std::string_view input, simd::SimdLevel level) const;
 
  private:
   CompiledPuProgram() = default;
@@ -158,16 +205,15 @@ class CompiledPuProgram {
   std::vector<int> chain_states_;
   bool members_chain_shaped_ = false;
   std::vector<uint8_t> start_bytes_;
+  std::optional<LazyDfaSkips> dfa_skips_;
 };
 
 /// Candidate scan installed in front of a lazy-DFA run: while the DFA
-/// sits in the reset state, skip to the next byte in this (small) set —
-/// any byte outside it provably keeps the machine reset. Built from
-/// CompiledPuProgram::start_bytes() when that set is small enough for
-/// simd::FindByteSet.
+/// sits in the reset state, skip to the next byte of `bytes` — any byte
+/// outside it provably keeps the machine reset. `bytes` is a program's
+/// LazyDfaSkips::start (CompiledPuProgram::start_bytes() as a scan set).
 struct StartBytePrefilter {
-  std::array<uint8_t, simd::kMaxScanBytes> bytes{};
-  int count = 0;
+  const simd::ByteSet* bytes = nullptr;
   /// Vector width for the scan; resolved once by the owner (the level
   /// lookup reads the environment — too slow for per-string loops).
   /// FindByteSetAtLevel clamps to the host's detected capability.

@@ -35,7 +35,7 @@ std::optional<BitParallelProgram> BitParallelProgram::Compile(
     // count is small enough for the SIMD set scan. Rarer anchors mean
     // fewer candidate windows to verify.
     int best_offset = -1;
-    int best_count = simd::kMaxScanBytes + 1;
+    int best_count = kMaxAnchorBytes + 1;
     for (int j = 0; j < len; ++j) {
       int count = 0;
       for (int b = 0; b < 256 && count < best_count; ++b) {
@@ -46,12 +46,11 @@ std::optional<BitParallelProgram> BitParallelProgram::Compile(
         best_offset = j;
       }
     }
-    if (best_offset >= 0 && best_count <= simd::kMaxScanBytes) {
+    if (best_offset >= 0 && best_count <= kMaxAnchorBytes) {
       stage.anchor_offset = best_offset;
       for (int b = 0; b < 256; ++b) {
         if ((stage.masks[static_cast<size_t>(b)] >> best_offset) & 1) {
-          stage.anchor_bytes[static_cast<size_t>(stage.num_anchor_bytes++)] =
-              static_cast<uint8_t>(b);
+          stage.anchor_bytes.Insert(static_cast<uint8_t>(b));
         }
       }
     }
@@ -74,8 +73,7 @@ size_t BitParallelProgram::Stage::FindEnd(std::string_view input,
     // earliest occurrence (fixed length: earliest start == earliest end).
     size_t c = from + static_cast<size_t>(anchor_offset);
     while (true) {
-      c = simd::FindByteSetAtLevel(input, c, anchor_bytes.data(),
-                                   num_anchor_bytes, level);
+      c = simd::FindByteSetAtLevel(input, c, anchor_bytes, level);
       if (c == std::string_view::npos) return std::string_view::npos;
       const size_t start = c - static_cast<size_t>(anchor_offset);
       if (start + m > input.size()) return std::string_view::npos;

@@ -13,11 +13,12 @@
 //
 // where B is the 256-entry position-mask table built from the CharSpecs.
 // On top of that, every stage with a *rare* position — a spec matching at
-// most simd::kMaxScanBytes distinct bytes — skips via the SIMD candidate
-// scan (regex/simd_scan.h): find the next occurrence of the rare byte(s),
+// most kMaxAnchorBytes distinct bytes — skips via the SIMD candidate scan
+// (regex/simd_scan.h): find the next occurrence of the rare byte(s),
 // verify the fixed-length window around it directly. Text that cannot
 // contain the stage then streams at memchr speed instead of byte-at-a-
-// time automaton speed.
+// time automaton speed. Shift-And itself already costs about 1 ns/byte,
+// so only a rare anchor pays for the scan.
 //
 // Results are bit-identical to the PU kernels by construction: stages are
 // fixed-length, so greedy earliest-occurrence search per stage yields the
@@ -39,6 +40,9 @@ namespace doppio {
 
 class BitParallelProgram {
  public:
+  /// Widest spec a stage anchors its candidate scan on.
+  static constexpr int kMaxAnchorBytes = 4;
+
   /// Compiles a chain-shaped token NFA whose every stage fits a 64-bit
   /// word; nullopt when the shape or the word bound does not hold.
   static std::optional<BitParallelProgram> Compile(const TokenNfa& nfa);
@@ -64,8 +68,7 @@ class BitParallelProgram {
     /// Rare position driving the candidate scan; -1 = none (plain
     /// Shift-And loop).
     int anchor_offset = -1;
-    std::array<uint8_t, simd::kMaxScanBytes> anchor_bytes{};
-    int num_anchor_bytes = 0;
+    simd::ByteSet anchor_bytes;
 
     /// One-past-end index of the earliest occurrence starting at or
     /// after `from`, or npos.

@@ -83,19 +83,33 @@ Pager::Pager(SharedArena* arena, PagerOptions options)
 Pager::~Pager() {
   DropClean();
   {
+    // Segments leave adopted_ (and residents_) when they die, so every
+    // segment touched here is alive.
     std::lock_guard<std::mutex> lock(mutex_);
     // Pinned residents at destruction are a caller bug; free anyway so the
     // arena does not leak pages in tests that tear down mid-error.
     for (Segment* seg : residents_) {
-      (void)arena_->FreePages(seg->run_);
-      seg->resident_ = false;
+      FreeRunLocked(seg);
       seg->pins_ = 0;
     }
     residents_.clear();
-    resident_bytes_ = 0;
+    for (Segment* seg : adopted_) seg->pager_ = nullptr;
+    adopted_.clear();
     if (spill_ != nullptr) std::fclose(spill_);
   }
   ResidentBytesGauge().Set(0);
+}
+
+void Pager::Forget(Segment* segment) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (segment->resident_) {
+    FreeRunLocked(segment);
+    residents_.erase(
+        std::find(residents_.begin(), residents_.end(), segment));
+    ResidentBytesGauge().Set(resident_bytes_);
+  }
+  adopted_.erase(segment);
+  segment->pager_ = nullptr;
 }
 
 Status Pager::AdoptSealed(Segment* segment,
@@ -123,6 +137,8 @@ Status Pager::AdoptSealed(Segment* segment,
     return Status::IOError("spill flush failed");
   }
   segment->file_offset_ = at;
+  segment->pager_ = this;
+  adopted_.insert(segment);
   spill_bytes_ = at + static_cast<int64_t>(payload.size());
   SealedSegmentsCounter().Add(1);
   SpillBytesGauge().Set(spill_bytes_);
@@ -205,13 +221,17 @@ bool Pager::EvictForLocked(int64_t needed_bytes) {
 void Pager::EvictOneLocked(Segment* victim) {
   // Sealed payloads are write-once: eviction is just freeing the run.
   const int64_t freed = victim->run_.size_bytes();
-  (void)arena_->FreePages(victim->run_);
-  victim->run_ = PageRun{};
-  victim->resident_ = false;
-  resident_bytes_ -= freed;
+  FreeRunLocked(victim);
   PageOutsCounter().Add(1);
   PageOutBytesCounter().Add(freed);
   ResidentBytesGauge().Set(resident_bytes_);
+}
+
+void Pager::FreeRunLocked(Segment* victim) {
+  resident_bytes_ -= victim->run_.size_bytes();
+  (void)arena_->FreePages(victim->run_);
+  victim->run_ = PageRun{};
+  victim->resident_ = false;
 }
 
 Status Pager::PageInLocked(Segment* segment) {

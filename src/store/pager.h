@@ -15,13 +15,17 @@
 // Because sealed payloads are immutable, page-out is simply FreePages —
 // there is never a write-back — and a pinned segment can never be evicted
 // (pin counts), so a query holding a window pinned is safe against any
-// concurrent Pin pressure. All `doppio.store.*` metrics live here.
+// concurrent Pin pressure. Destruction is order-independent: a segment
+// that dies first returns its pages and leaves the pager, and a pager
+// that dies first frees every resident and detaches its live segments.
+// All `doppio.store.*` metrics live here.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <mutex>
+#include <unordered_set>
 #include <vector>
 
 #include "common/macros.h"
@@ -81,7 +85,13 @@ class Pager {
   /// budget, or returns false when nothing more can be evicted.
   bool EvictForLocked(int64_t needed_bytes);
   void EvictOneLocked(Segment* victim);
+  /// Returns a resident victim's pages to the arena (no metrics).
+  void FreeRunLocked(Segment* victim);
   Status PageInLocked(Segment* segment);
+
+  friend class Segment;
+  /// A dying segment leaves the pager (Segment::~Segment).
+  void Forget(Segment* segment);
 
   SharedArena* const arena_;
   const PagerOptions options_;
@@ -92,6 +102,7 @@ class Pager {
   int64_t resident_bytes_ = 0;       // page-granular resident accounting
   uint64_t lru_clock_ = 0;           // bumped on every Pin
   std::vector<Segment*> residents_;  // segments with a live PageRun
+  std::unordered_set<Segment*> adopted_;  // live segments with pager_ == this
 };
 
 }  // namespace doppio

@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/logging.h"
+#include "store/pager.h"
 
 namespace doppio {
 
@@ -18,6 +19,10 @@ int64_t SegmentOffsetsSpanBytes(int64_t rows) {
 Segment::Segment(uint64_t id)
     : id_(id), staging_heap_(std::make_unique<StringHeap>()) {
   heap_bytes_ = staging_heap_->size_bytes();
+}
+
+Segment::~Segment() {
+  if (pager_ != nullptr) pager_->Forget(this);
 }
 
 Status Segment::Append(std::string_view value) {

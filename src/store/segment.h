@@ -41,6 +41,9 @@ class Segment {
   /// `id` must come from AcquireColumnId() so sealed segments can key the
   /// shared result cache without colliding with Bat ids.
   explicit Segment(uint64_t id);
+  /// A segment that dies while its pager lives leaves the pager: its
+  /// resident pages go back to the arena. Either may be destroyed first.
+  ~Segment();
 
   DOPPIO_DISALLOW_COPY_AND_ASSIGN(Segment);
 
@@ -84,6 +87,7 @@ class Segment {
 
   // Residency state. Guarded by the owning Pager's mutex — never touched
   // outside it once the segment is registered.
+  Pager* pager_ = nullptr;    // adopting pager; cleared when it dies first
   int64_t file_offset_ = -1;  // position in the pager's spill file
   PageRun run_;               // valid iff resident_
   bool resident_ = false;

@@ -229,6 +229,41 @@ TEST_F(PagerTest, DropCleanFreesUnpinnedResidents) {
   pager.Unpin(a.get());
 }
 
+TEST_F(PagerTest, ColumnDestroyedBeforePagerReturnsItsPages) {
+  // The engine declares its pager before its columns, so columns (and
+  // their segments) die first: a resident segment must hand its pages
+  // back and leave the pager, whose destructor then never reads it.
+  Pager pager(arena_.get(), PagerOptions{});
+  const int64_t before = arena_->allocated_bytes();
+  {
+    SegmentedColumn column(&pager);
+    for (int i = 0; i < 100; ++i) {
+      ASSERT_TRUE(column.Append(RowString(i)).ok());
+    }
+    ASSERT_TRUE(column.Seal().ok());
+    Segment* segment = column.Snapshot().segments.at(0).get();
+    ASSERT_TRUE(pager.Pin(segment).ok());
+    pager.Unpin(segment);
+    EXPECT_EQ(pager.resident_bytes(), kSharedPageBytes);
+    EXPECT_GT(arena_->allocated_bytes(), before);
+  }
+  EXPECT_EQ(pager.resident_bytes(), 0);
+  EXPECT_EQ(arena_->allocated_bytes(), before);
+}
+
+TEST_F(PagerTest, SegmentOutlivingItsPagerIsSafe) {
+  std::shared_ptr<Segment> survivor;
+  const int64_t before = arena_->allocated_bytes();
+  {
+    Pager pager(arena_.get(), PagerOptions{});
+    survivor = AdoptSegment(&pager);
+    ASSERT_TRUE(pager.Pin(survivor.get()).ok());
+    pager.Unpin(survivor.get());
+  }
+  EXPECT_EQ(arena_->allocated_bytes(), before);
+  survivor.reset();  // must not reach the destroyed pager
+}
+
 // --- SegmentedColumn: ingest visibility ------------------------------------
 
 TEST_F(PagerTest, StagedRowsAreInvisibleUntilSeal) {
