@@ -92,21 +92,23 @@ int main(int argc, char** argv) {
                   model.PredictRegexpLike(stats) * 1e3);
       std::printf("  like fast path:       %8.3f ms (if substring-able)\n",
                   model.PredictLike(stats) * 1e3);
-      auto fpga = model.PredictFpga(pattern, stats);
-      if (fpga.ok()) {
-        std::printf("  regexp_fpga:          %8.3f ms\n", *fpga * 1e3);
-      } else {
+      auto plan = PlanHybrid(pattern, hal.device_config());
+      if (!plan.ok()) {
         std::printf("  regexp_fpga:          n/a (%s)\n",
-                    fpga.status().message().c_str());
-        auto hybrid = model.PredictHybrid(pattern, stats);
-        if (hybrid.ok()) {
-          std::printf("  hybrid:               %8.3f ms\n", *hybrid * 1e3);
-        }
+                    plan.status().message().c_str());
+      } else if (plan->strategy == HybridStrategy::kFpgaOnly) {
+        std::printf("  regexp_fpga:          %8.3f ms\n",
+                    model.PredictFpga(*plan->fpga_config, stats) * 1e3);
+      } else {
+        std::printf("  regexp_fpga:          n/a (exceeds the geometry)\n");
+        std::printf("  hybrid:               %8.3f ms\n",
+                    model.PredictHybrid(*plan, stats) * 1e3);
       }
       StringFilterSpec spec;
       spec.op = StringFilterSpec::Op::kAuto;
       spec.pattern = pattern;
-      auto choice = model.Choose(spec, stats, true);
+      auto choice =
+          model.Choose(spec, stats, plan.ok() ? &*plan : nullptr);
       std::printf("  => chosen: %s (%.3f ms)\n", choice.reason.c_str(),
                   choice.predicted_seconds * 1e3);
       std::printf("doppio> ");

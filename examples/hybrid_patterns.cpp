@@ -55,8 +55,12 @@ int main(int argc, char** argv) {
     }
 
     auto plan = PlanHybrid(pattern, options.device);
-    auto result = ExecuteHybrid(&hal, input, pattern);
-    if (!plan.ok() || !result.ok()) {
+    if (!plan.ok()) {
+      std::fprintf(stderr, "planning failed\n");
+      return 1;
+    }
+    auto result = ExecuteHybrid(&hal, input, *plan);
+    if (!result.ok()) {
       std::fprintf(stderr, "execution failed\n");
       return 1;
     }

@@ -1,5 +1,7 @@
 #include "db/column_store.h"
 
+#include <optional>
+
 #include "common/stopwatch.h"
 #include "db/cost_model.h"
 #include "db/hudf.h"
@@ -13,6 +15,34 @@
 #include "store/stream_executor.h"
 
 namespace doppio {
+
+namespace {
+
+// The HUDF result -> selection operator, BAT-at-a-time: one byte per row,
+// 1 where the result column reports a match. Reading through hoisted
+// pointers lets the loop vectorize; through Bat::GetInt16 every byte
+// store could alias the BAT's tail pointer and forced a reload per row.
+std::vector<uint8_t> MatchesToSelection(const Bat& result, int64_t rows) {
+  std::vector<uint8_t> bits(static_cast<size_t>(rows));
+  const int16_t* values = reinterpret_cast<const int16_t*>(result.tail_data());
+  uint8_t* out = bits.data();
+  for (int64_t i = 0; i < rows; ++i) out[i] = values[i] != 0 ? 1 : 0;
+  return bits;
+}
+
+// Applies a predicate's NOT to its selection bytes; returns the number of
+// selected rows.
+int64_t FinishSelection(bool negated, std::vector<uint8_t>* bits) {
+  const uint8_t flip = negated ? 1 : 0;
+  int64_t selected = 0;
+  for (uint8_t& b : *bits) {
+    b ^= flip;
+    selected += b;
+  }
+  return selected;
+}
+
+}  // namespace
 
 ColumnStoreEngine::ColumnStoreEngine(const Options& options)
     : options_(options),
@@ -109,6 +139,22 @@ Result<std::vector<uint8_t>> ColumnStoreEngine::EvalStringFilter(
     ColumnEpochGuard* g;
     ~ReadRelease() { g->EndRead(); }
   } epoch_release{epoch};
+  // REGEXP_AUTO and REGEXP_HYBRID compile their pattern once, into a plan
+  // that the cost model and the executor both read.
+  std::optional<HybridPlan> plan;
+  if (options_.hal != nullptr && (spec.op == StringFilterSpec::Op::kAuto ||
+                                  spec.op == StringFilterSpec::Op::kHybrid)) {
+    CompileOptions copts;
+    copts.case_insensitive = spec.case_insensitive;
+    Result<HybridPlan> compiled =
+        PlanHybrid(spec.pattern, options_.hal->device_config(), copts);
+    if (compiled.ok()) {
+      plan = std::move(*compiled);
+    } else if (spec.op == StringFilterSpec::Op::kHybrid) {
+      return compiled.status();
+    }
+  }
+  const HybridPlan* planned = plan.has_value() ? &*plan : nullptr;
   // The cost-model strategy: predict each candidate's runtime and rewrite
   // the spec to the cheapest one before execution.
   StringFilterSpec effective = spec;
@@ -116,8 +162,8 @@ Result<std::vector<uint8_t>> ColumnStoreEngine::EvalStringFilter(
     TableStats table_stats;
     table_stats.rows = column.count();
     table_stats.heap_bytes = column.heap()->size_bytes();
-    OperatorCostModel::Choice choice = cost_model().Choose(
-        spec, table_stats, options_.hal != nullptr);
+    OperatorCostModel::Choice choice =
+        cost_model().Choose(spec, table_stats, planned);
     effective.op = choice.op;
     if (!choice.rewritten_pattern.empty()) {
       effective.pattern = choice.rewritten_pattern;
@@ -133,7 +179,7 @@ Result<std::vector<uint8_t>> ColumnStoreEngine::EvalStringFilter(
         return EvalRegexp(column, effective);
       case StringFilterSpec::Op::kRegexpFpga:
       case StringFilterSpec::Op::kHybrid:
-        return EvalFpga(column, effective, stats);
+        return EvalFpga(column, effective, planned, stats);
       case StringFilterSpec::Op::kContains:
         return EvalContains(column, effective);
       case StringFilterSpec::Op::kAuto:
@@ -144,23 +190,22 @@ Result<std::vector<uint8_t>> ColumnStoreEngine::EvalStringFilter(
   }();
   if (!result.ok()) return result.status();
 
-  std::vector<uint8_t>& bits = *result;
-  int64_t matched = 0;
-  if (spec.negated) {
-    for (auto& b : bits) b = b == 0 ? 1 : 0;
-  }
-  for (uint8_t b : bits) matched += b;
+  const int64_t matched = FinishSelection(spec.negated, &*result);
   if (stats != nullptr) {
     stats->rows_scanned += column.count();
     stats->rows_matched += matched;
     const bool was_auto = spec.op == StringFilterSpec::Op::kAuto;
     // FPGA strategies fill their own phase breakdown in EvalFpga; the
-    // software paths charge the database phase.
+    // software paths charge the database phase, and a plan the cost model
+    // read but did not run to the config phase.
     std::string strategy = stats->strategy;
     if (effective.op == StringFilterSpec::Op::kLike ||
         effective.op == StringFilterSpec::Op::kRegexpLike ||
         effective.op == StringFilterSpec::Op::kContains) {
       stats->database_seconds += watch.ElapsedSeconds();
+      if (planned != nullptr) {
+        stats->config_gen_seconds += planned->compile_seconds;
+      }
       switch (effective.op) {
         case StringFilterSpec::Op::kLike:
           strategy = spec.case_insensitive ? "ilike" : "like";
@@ -275,21 +320,18 @@ Result<std::vector<uint8_t>> ColumnStoreEngine::EvalRegexp(
 }
 
 Result<std::vector<uint8_t>> ColumnStoreEngine::EvalFpga(
-    const Bat& column, const StringFilterSpec& spec, QueryStats* stats) {
+    const Bat& column, const StringFilterSpec& spec, const HybridPlan* plan,
+    QueryStats* stats) {
   if (options_.hal == nullptr) {
     return Status::InvalidArgument(
         "REGEXP_FPGA requires a HAL-enabled engine");
   }
-  CompileOptions copts;
-  copts.case_insensitive = spec.case_insensitive;
-
   std::unique_ptr<Bat> result;
   QueryStats local;
   Status hw_status = Status::OK();
   if (spec.op == StringFilterSpec::Op::kHybrid) {
-    Result<HybridResult> hybrid =
-        ExecuteHybrid(options_.hal, column, spec.pattern, copts,
-                      /*gate=*/nullptr, options_.result_cache);
+    Result<HybridResult> hybrid = ExecuteHybrid(
+        options_.hal, column, *plan, /*gate=*/nullptr, options_.result_cache);
     if (hybrid.ok()) {
       result = std::move(hybrid->result);
       local = hybrid->stats;
@@ -297,13 +339,29 @@ Result<std::vector<uint8_t>> ColumnStoreEngine::EvalFpga(
       hw_status = hybrid.status();
     }
   } else {
+    // REGEXP_FPGA compiles its pattern here; REGEXP_AUTO runs the config
+    // its plan already holds.
+    Result<RegexConfig> compiled = Status::OK();
+    const RegexConfig* config = nullptr;
+    if (plan != nullptr) {
+      config = &*plan->fpga_config;
+    } else {
+      CompileOptions copts;
+      copts.case_insensitive = spec.case_insensitive;
+      compiled = options_.hal->CompileConfig(spec.pattern, copts);
+      if (compiled.ok()) config = &*compiled;
+    }
     // The engine-side HUDF partitions one query's data across all Regex
     // Engines (paper §7.5).
     Result<HudfResult> hw =
-        RegexpFpgaPartitioned(options_.hal, column, spec.pattern, copts);
+        config != nullptr
+            ? RegexpFpgaPartitioned(options_.hal, column, *config)
+            : Result<HudfResult>(compiled.status());
     if (hw.ok()) {
       result = std::move(hw->result);
       local = hw->stats;
+      local.config_gen_seconds =
+          plan != nullptr ? plan->compile_seconds : config->compile_seconds;
     } else {
       hw_status = hw.status();
     }
@@ -337,11 +395,7 @@ Result<std::vector<uint8_t>> ColumnStoreEngine::EvalFpga(
     local.rows_matched = 0;
     stats->Accumulate(local);
   }
-  std::vector<uint8_t> bits(static_cast<size_t>(column.count()), 0);
-  for (int64_t i = 0; i < column.count(); ++i) {
-    bits[static_cast<size_t>(i)] = result->GetInt16(i) != 0 ? 1 : 0;
-  }
-  return bits;
+  return MatchesToSelection(*result, column.count());
 }
 
 Result<std::vector<uint8_t>> ColumnStoreEngine::EvalContains(
@@ -520,15 +574,8 @@ Result<std::vector<uint8_t>> ColumnStoreEngine::EvalSegmentedFilter(
       HudfResult hw,
       RegexpFpgaStreamed(options_.hal, pager(), snapshot, config, sopts));
 
-  std::vector<uint8_t> bits(static_cast<size_t>(snapshot.rows), 0);
-  for (int64_t i = 0; i < snapshot.rows; ++i) {
-    bits[static_cast<size_t>(i)] = hw.result->GetInt16(i) != 0 ? 1 : 0;
-  }
-  int64_t matched = 0;
-  if (spec.negated) {
-    for (auto& b : bits) b = b == 0 ? 1 : 0;
-  }
-  for (uint8_t b : bits) matched += b;
+  std::vector<uint8_t> bits = MatchesToSelection(*hw.result, snapshot.rows);
+  const int64_t matched = FinishSelection(spec.negated, &bits);
   if (stats != nullptr) {
     hw.stats.rows_scanned = 0;  // volumes counted once, below
     hw.stats.rows_matched = 0;

@@ -185,8 +185,11 @@ class ColumnStoreEngine {
                                         const StringFilterSpec& spec);
   Result<std::vector<uint8_t>> EvalRegexp(const Bat& column,
                                           const StringFilterSpec& spec);
+  /// kRegexpFpga or kHybrid. `plan` is the spec's compiled plan:
+  /// required for kHybrid; for kRegexpFpga, null compiles the pattern.
   Result<std::vector<uint8_t>> EvalFpga(const Bat& column,
                                         const StringFilterSpec& spec,
+                                        const struct HybridPlan* plan,
                                         QueryStats* stats);
   Result<std::vector<uint8_t>> EvalContains(const Bat& column,
                                             const StringFilterSpec& spec);

@@ -4,8 +4,6 @@
 
 #include "common/random.h"
 #include "common/stopwatch.h"
-#include "db/hybrid_executor.h"
-#include "hw/config_compiler.h"
 #include "hw/perf_model.h"
 #include "hw/pu_kernel.h"
 #include "regex/backtrack_matcher.h"
@@ -102,32 +100,28 @@ double OperatorCostModel::PredictRegexpLike(const TableStats& stats) const {
          static_cast<double>(calibration_.cpu_cores);
 }
 
-Result<double> OperatorCostModel::PredictFpga(const std::string& pattern,
-                                              const TableStats& stats) const {
-  // Confirms the pattern maps onto the deployed geometry.
-  DOPPIO_RETURN_NOT_OK(
-      CompileRegexConfig(pattern, device_).status());
-  PerfEstimate est =
-      EstimateJob(device_, stats.rows, stats.heap_bytes, /*engines=*/1);
-  return est.seconds;
+double OperatorCostModel::PredictFpga(const RegexConfig& /*config*/,
+                                      const TableStats& stats) const {
+  return EstimateJob(device_, stats.rows, stats.heap_bytes, /*engines=*/1)
+      .seconds;
 }
 
-Result<double> OperatorCostModel::PredictFpgaStreamed(
-    const std::string& pattern, const TableStats& stats, int windows,
-    int64_t resident_bytes, bool overlap) const {
-  DOPPIO_RETURN_NOT_OK(CompileRegexConfig(pattern, device_).status());
+double OperatorCostModel::PredictFpgaStreamed(const RegexConfig& config,
+                                              const TableStats& stats,
+                                              int windows,
+                                              int64_t resident_bytes,
+                                              bool overlap) const {
   if (windows <= 0) windows = 1;
-  PerfEstimate est =
-      EstimateJob(device_, stats.rows, stats.heap_bytes, /*engines=*/1);
+  const double scan = PredictFpga(config, stats);
   // Payload = offsets + heap, exactly what the pager moves per window.
   const int64_t payload =
       stats.rows * 4 + stats.heap_bytes;
   const int64_t paged = std::max<int64_t>(0, payload - resident_bytes);
-  const double d_w = est.seconds / static_cast<double>(windows);
+  const double d_w = scan / static_cast<double>(windows);
   const double t_w =
       paged > 0 ? TransferSeconds(device_, paged / windows) : 0.0;
   if (!overlap) {
-    return est.seconds + t_w * static_cast<double>(windows);
+    return scan + t_w * static_cast<double>(windows);
   }
   // Uniform-window closed form of the double-buffering recurrence: the
   // first transfer and last execution are exposed, every other window
@@ -136,41 +130,30 @@ Result<double> OperatorCostModel::PredictFpgaStreamed(
          static_cast<double>(windows - 1) * std::max(t_w, d_w);
 }
 
-Result<double> OperatorCostModel::PredictHybrid(
-    const std::string& pattern, const TableStats& stats,
-    double prefix_selectivity) const {
-  DOPPIO_ASSIGN_OR_RETURN(HybridPlan plan, PlanHybrid(pattern, device_));
-  if (plan.strategy == HybridStrategy::kSoftwareOnly) {
-    // Automaton pass over everything.
-    return static_cast<double>(stats.heap_bytes) /
-           (calibration_.dfa_bytes_per_sec *
-            static_cast<double>(calibration_.cpu_cores));
-  }
-  PerfEstimate est =
-      EstimateJob(device_, stats.rows, stats.heap_bytes, /*engines=*/1);
-  if (plan.strategy == HybridStrategy::kFpgaOnly) return est.seconds;
-  const double postprocess =
-      prefix_selectivity * static_cast<double>(stats.heap_bytes) /
+double OperatorCostModel::PredictHybrid(const HybridPlan& plan,
+                                        const TableStats& stats,
+                                        double prefix_selectivity) const {
+  const double dfa_pass =
+      static_cast<double>(stats.heap_bytes) /
       (calibration_.dfa_bytes_per_sec *
        static_cast<double>(calibration_.cpu_cores));
-  return est.seconds + postprocess;
+  if (plan.strategy == HybridStrategy::kSoftwareOnly) {
+    return dfa_pass;  // automaton pass over everything
+  }
+  const double fpga = PredictFpga(*plan.fpga_config, stats);
+  if (plan.strategy == HybridStrategy::kFpgaOnly) return fpga;
+  return fpga + prefix_selectivity * dfa_pass;
 }
 
 Result<OperatorCostModel::HostPrediction> OperatorCostModel::PredictHostProgram(
-    const std::string& pattern, const TableStats& stats) const {
-  DOPPIO_ASSIGN_OR_RETURN(RegexConfig config,
-                          CompileRegexConfig(pattern, device_));
-  DOPPIO_ASSIGN_OR_RETURN(
-      std::shared_ptr<const CompiledPuProgram> program,
-      CompiledPuProgram::Compile(config.vector, device_));
-
+    const CompiledPuProgram& program, const TableStats& stats) const {
   HostPrediction out;
-  out.backend = BackendRegistry::Global().ChooseHost(*program).id();
+  out.backend = BackendRegistry::Global().ChooseHost(program).id();
   double bytes_per_sec = calibration_.dfa_bytes_per_sec;
   if (out.backend == BackendId::kCpuSimd &&
       calibration_.simd_bytes_per_sec > 0) {
     bytes_per_sec = calibration_.simd_bytes_per_sec;
-  } else if (program->kernel() == PuKernelKind::kLiteral &&
+  } else if (program.kernel() == PuKernelKind::kLiteral &&
              calibration_.like_bytes_per_sec > 0) {
     bytes_per_sec = calibration_.like_bytes_per_sec;
   }
@@ -223,7 +206,7 @@ bool RegexAsLikePattern(const AstNode& ast, std::string* like_pattern) {
 
 OperatorCostModel::Choice OperatorCostModel::Choose(
     const StringFilterSpec& spec, const TableStats& stats,
-    bool fpga_available) const {
+    const HybridPlan* plan) const {
   // Determine the regex-dialect pattern, and whether the substring fast
   // path applies (with the pattern it would need).
   std::string pattern = spec.pattern;
@@ -259,18 +242,20 @@ OperatorCostModel::Choice OperatorCostModel::Choose(
               spec.op == StringFilterSpec::Op::kLike ? "" : like_pattern};
     }
   }
-  if (fpga_available) {
-    auto fpga = PredictFpga(pattern, stats);
-    if (fpga.ok() && *fpga < best.predicted_seconds) {
-      best = {StringFilterSpec::Op::kRegexpFpga, *fpga,
-              "hardware engine (fits deployed geometry)",
-              spec.op == StringFilterSpec::Op::kLike ? pattern : ""};
-    } else if (!fpga.ok()) {
-      auto hybrid = PredictHybrid(pattern, stats);
-      if (hybrid.ok() && *hybrid < best.predicted_seconds) {
-        best = {StringFilterSpec::Op::kHybrid, *hybrid,
-                "hybrid: FPGA prefix + CPU post-processing",
-                spec.op == StringFilterSpec::Op::kLike ? pattern : ""};
+  if (plan != nullptr) {
+    const std::string rewritten =
+        spec.op == StringFilterSpec::Op::kLike ? pattern : "";
+    if (plan->strategy == HybridStrategy::kFpgaOnly) {
+      const double fpga = PredictFpga(*plan->fpga_config, stats);
+      if (fpga < best.predicted_seconds) {
+        best = {StringFilterSpec::Op::kRegexpFpga, fpga,
+                "hardware engine (fits deployed geometry)", rewritten};
+      }
+    } else {
+      const double hybrid = PredictHybrid(*plan, stats);
+      if (hybrid < best.predicted_seconds) {
+        best = {StringFilterSpec::Op::kHybrid, hybrid,
+                "hybrid: FPGA prefix + CPU post-processing", rewritten};
       }
     }
   }

@@ -17,6 +17,8 @@
 
 #include "common/status.h"
 #include "db/column_store.h"
+#include "db/hybrid_executor.h"
+#include "hw/config_compiler.h"
 #include "hw/device_config.h"
 #include "hw/kernel_backend.h"
 
@@ -52,9 +54,14 @@ class OperatorCostModel {
   // --- Per-strategy predictions (seconds for one query) --------------------
   double PredictLike(const TableStats& stats) const;
   double PredictRegexpLike(const TableStats& stats) const;
-  /// Fails with CapacityExceeded when the pattern cannot be mapped.
-  Result<double> PredictFpga(const std::string& pattern,
-                             const TableStats& stats) const;
+  // The FPGA-side predictions read compiled objects, never a pattern: a
+  // query compiles its pattern once (PlanHybrid, the ProgramCache) and
+  // every prediction and the execution share that compile.
+
+  /// `config` is the pattern compiled against the deployed geometry, so
+  /// the pattern is known to fit; the hardware's cost does not depend on
+  /// its complexity (paper §5, property II).
+  double PredictFpga(const RegexConfig& config, const TableStats& stats) const;
   /// Segment-aware prediction for the out-of-core streaming executor
   /// (docs/STORAGE.md): the column is scanned in `windows` equal
   /// segment-windows, each paying a modeled QPI transfer for the bytes
@@ -62,16 +69,15 @@ class OperatorCostModel {
   /// and transfer-free). With `overlap` the double-buffering recurrence
   /// hides the smaller of transfer/execute per window; without it the
   /// windows are serial page-then-scan. `windows` <= 1 and everything
-  /// resident degenerates to PredictFpga exactly. Fails with
-  /// CapacityExceeded when the pattern cannot be mapped.
-  Result<double> PredictFpgaStreamed(const std::string& pattern,
-                                     const TableStats& stats, int windows,
-                                     int64_t resident_bytes = 0,
-                                     bool overlap = true) const;
+  /// resident degenerates to PredictFpga exactly.
+  double PredictFpgaStreamed(const RegexConfig& config,
+                             const TableStats& stats, int windows,
+                             int64_t resident_bytes = 0,
+                             bool overlap = true) const;
+  /// `plan`: the pattern planned against the deployed geometry.
   /// `prefix_selectivity`: expected fraction the CPU post-processes.
-  Result<double> PredictHybrid(const std::string& pattern,
-                               const TableStats& stats,
-                               double prefix_selectivity = 0.2) const;
+  double PredictHybrid(const HybridPlan& plan, const TableStats& stats,
+                       double prefix_selectivity = 0.2) const;
 
   struct HostPrediction {
     double seconds = 0;
@@ -79,11 +85,10 @@ class OperatorCostModel {
     /// the prediction used).
     BackendId backend = BackendId::kCpuScalar;
   };
-  /// Predicted one-core host execution of the compiled PU program
-  /// through the kernel-backend registry (the scheduler's kCpuProgram
-  /// route). Fails with CapacityExceeded when the pattern cannot be
-  /// mapped onto the deployed geometry.
-  Result<HostPrediction> PredictHostProgram(const std::string& pattern,
+  /// Predicted one-core host execution of a compiled PU program through
+  /// the kernel-backend registry (the scheduler's kCpuProgram route).
+  /// Fails with Internal when the model is not calibrated.
+  Result<HostPrediction> PredictHostProgram(const CompiledPuProgram& program,
                                             const TableStats& stats) const;
 
   struct Choice {
@@ -97,10 +102,12 @@ class OperatorCostModel {
   };
 
   /// Picks the cheapest strategy for `spec` over a table with `stats`.
-  /// For kAuto specs the pattern is in the regex dialect. `fpga_available`
-  /// reflects whether a HAL is attached.
+  /// For kAuto specs the pattern is in the regex dialect. `plan` is that
+  /// pattern (for a LIKE spec, its regex translation) planned against the
+  /// deployed geometry by PlanHybrid; null when no HAL is attached or the
+  /// pattern cannot be planned, which leaves only software strategies.
   Choice Choose(const StringFilterSpec& spec, const TableStats& stats,
-                bool fpga_available) const;
+                const HybridPlan* plan) const;
 
   const Calibration& calibration() const { return calibration_; }
 

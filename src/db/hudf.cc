@@ -185,10 +185,7 @@ Result<HudfResult> RunDfaScanInSoftware(const Bat& input,
 }
 
 Result<HudfResult> RegexpHost(const DeviceConfig& device, const Bat& input,
-                              std::string_view pattern,
-                              const CompileOptions& options) {
-  DOPPIO_ASSIGN_OR_RETURN(RegexConfig config,
-                          CompileRegexConfig(pattern, device, options));
+                              const RegexConfig& config) {
   ScanPlan plan;
   plan.device = &device;
   ScanQuery& query = plan.queries.emplace_back();
@@ -205,7 +202,6 @@ Result<HudfResult> RegexpHost(const DeviceConfig& device, const Bat& input,
   query.slices.push_back({SliceSource::kHost, 0, input.count()});
   DOPPIO_RETURN_NOT_OK(ExecuteScanPlan(&plan));
   out.stats = std::move(query.stats);
-  out.stats.config_gen_seconds = config.compile_seconds;
   return out;
 }
 

@@ -213,15 +213,14 @@ Result<HudfResult> RunDfaScanInSoftware(const Bat& input,
                                         const CompileOptions& options = {},
                                         int64_t rows = -1);
 
-/// Runs a geometry-eligible pattern entirely on the host through the
+/// Runs a compiled configuration entirely on the host through the
 /// kernel-backend registry (hw/kernel_backend.h) — the execution path of
 /// DOPPIO_FORCE_BACKEND=scalar|simd, and a device-free way to run the
 /// compiled-program matchers. Results are bit-identical to the hardware
 /// functional pass; stats.strategy records "host-<backend>" and
 /// stats.pu_kernel the kernel that executed.
 Result<HudfResult> RegexpHost(const DeviceConfig& device, const Bat& input,
-                              std::string_view pattern,
-                              const CompileOptions& options = {});
+                              const RegexConfig& config);
 
 /// Admission gate the multi-tenant scheduler (src/sched) implements. When
 /// one is supplied to a db-layer executor, regex offload goes through the

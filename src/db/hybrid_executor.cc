@@ -10,6 +10,7 @@
 #include "hw/kernel_backend.h"
 #include "obs/metrics.h"
 #include "regex/pattern_parser.h"
+#include "regex/thompson_nfa.h"
 #include "sched/result_cache.h"
 
 namespace doppio {
@@ -110,26 +111,22 @@ void OfferToCache(sched::ResultCache* cache, const std::string& fingerprint,
 // the normal offload rather than surfacing as errors.
 std::optional<HybridResult> TryPrefilterRefine(
     sched::ResultCache* cache, Hal* hal, const Bat& input,
-    const RegexConfig& full_config, std::string_view pattern,
-    uint64_t column_id, uint64_t column_version, int64_t rows,
-    const CompileOptions& options) {
-  auto parsed = ParseAnchoredPattern(pattern);
-  if (!parsed.ok() || parsed->anchor_start || parsed->anchor_end) {
-    return std::nullopt;
-  }
-  AstNodePtr ast = std::move(parsed->ast);
-  if (ast->kind != AstKind::kConcat) return std::nullopt;
+    const HybridPlan& plan, uint64_t column_id, uint64_t column_version,
+    int64_t rows) {
+  const AstNode& ast = *plan.ast;
+  if (ast.kind != AstKind::kConcat) return std::nullopt;
+  const RegexConfig& full_config = *plan.fpga_config;
   std::vector<size_t> cut_points;
-  for (size_t i = 0; i < ast->children.size(); ++i) {
-    if (IsDotStarNode(*ast->children[i])) cut_points.push_back(i);
+  for (size_t i = 0; i < ast.children.size(); ++i) {
+    if (IsDotStarNode(*ast.children[i])) cut_points.push_back(i);
   }
 
   bool probed = false;
   for (auto it = cut_points.rbegin(); it != cut_points.rend(); ++it) {
     if (*it == 0) continue;  // empty prefix subsumes nothing
-    AstNodePtr prefix = ConcatPrefix(*ast, *it);
+    AstNodePtr prefix = ConcatPrefix(ast, *it);
     auto prefix_config =
-        CompileRegexConfig(*prefix, hal->device_config(), options);
+        CompileRegexConfig(*prefix, hal->device_config(), plan.options);
     if (!prefix_config.ok()) continue;
     probed = true;
     std::shared_ptr<const sched::CachedResultBlock> block = cache->Get(
@@ -177,40 +174,47 @@ Result<HybridPlan> PlanHybrid(std::string_view pattern,
 
   DOPPIO_ASSIGN_OR_RETURN(AnchoredPattern parsed,
                           ParseAnchoredPattern(pattern));
+  plan.ast = std::move(parsed.ast);
+  plan.options = parsed.Options(options);
   if (parsed.anchor_start || parsed.anchor_end) {
     // The hardware searches unanchored, and splitting an anchored pattern
     // would change its semantics: software handles it end to end.
     plan.strategy = HybridStrategy::kSoftwareOnly;
     return plan;
   }
-  AstNodePtr ast = std::move(parsed.ast);
-  auto full = CompileRegexConfig(*ast, device, options);
+  Stopwatch compile_watch;
+  const AstNode& ast = *plan.ast;
+  auto full = CompileRegexConfig(ast, device, plan.options);
   if (full.ok()) {
     plan.strategy = HybridStrategy::kFpgaOnly;
     plan.fpga_pattern = plan.full_pattern;
+    plan.fpga_config = std::move(*full);
+    plan.compile_seconds = compile_watch.ElapsedSeconds();
     return plan;
   }
   if (!full.status().IsCapacityExceeded()) return full.status();
 
   // Split at '.*' boundaries: try the longest prefix first.
-  if (ast->kind == AstKind::kConcat) {
+  plan.strategy = HybridStrategy::kSoftwareOnly;
+  if (ast.kind == AstKind::kConcat) {
     std::vector<size_t> cut_points;  // index of each top-level dot-star
-    for (size_t i = 0; i < ast->children.size(); ++i) {
-      if (IsDotStarNode(*ast->children[i])) cut_points.push_back(i);
+    for (size_t i = 0; i < ast.children.size(); ++i) {
+      if (IsDotStarNode(*ast.children[i])) cut_points.push_back(i);
     }
     for (auto it = cut_points.rbegin(); it != cut_points.rend(); ++it) {
       if (*it == 0) continue;  // empty prefix
-      AstNodePtr prefix = ConcatPrefix(*ast, *it);
-      auto attempt = CompileRegexConfig(*prefix, device, options);
+      AstNodePtr prefix = ConcatPrefix(ast, *it);
+      auto attempt = CompileRegexConfig(*prefix, device, plan.options);
       if (attempt.ok()) {
         plan.strategy = HybridStrategy::kHybrid;
         plan.fpga_pattern = prefix->ToString();
-        return plan;
+        plan.fpga_config = std::move(*attempt);
+        break;
       }
       if (!attempt.status().IsCapacityExceeded()) return attempt.status();
     }
   }
-  plan.strategy = HybridStrategy::kSoftwareOnly;
+  plan.compile_seconds = compile_watch.ElapsedSeconds();
   return plan;
 }
 
@@ -219,9 +223,18 @@ Result<HybridResult> ExecuteHybrid(Hal* hal, const Bat& input,
                                    const CompileOptions& options,
                                    RegexAdmissionGate* gate,
                                    sched::ResultCache* cache) {
-  Stopwatch total_watch;
   DOPPIO_ASSIGN_OR_RETURN(HybridPlan plan,
                           PlanHybrid(pattern, hal->device_config(), options));
+  return ExecuteHybrid(hal, input, plan, gate, cache);
+}
+
+Result<HybridResult> ExecuteHybrid(Hal* hal, const Bat& input,
+                                   const HybridPlan& plan,
+                                   RegexAdmissionGate* gate,
+                                   sched::ResultCache* cache) {
+  Stopwatch total_watch;
+  const std::string& pattern = plan.full_pattern;
+  const CompileOptions& options = plan.options;
 
   HybridResult out;
   out.strategy = plan.strategy;
@@ -236,76 +249,81 @@ Result<HybridResult> ExecuteHybrid(Hal* hal, const Bat& input,
 
   // FPGA offloads go through the admission gate when one is installed;
   // Overloaded rejects are surfaced to the caller (back off, don't
-  // degrade), everything else behaves exactly like direct submission.
-  auto offload = [&](std::string_view fpga_pattern) {
-    return gate != nullptr ? gate->ExecuteRegex(input, fpga_pattern, options)
-                           : RegexpFpga(hal, input, fpga_pattern, options);
+  // degrade), everything else behaves exactly like direct submission of
+  // the planned program.
+  auto offload = [&]() {
+    return gate != nullptr
+               ? gate->ExecuteRegex(input, plan.fpga_pattern, options)
+               : RegexpFpga(hal, input, *plan.fpga_config);
+  };
+  // Every exit charges the plan's compiles to the config phase, once. A
+  // direct offload runs the planned program and compiles nothing; a gated
+  // one reports what the scheduler compiled for it.
+  auto finish = [&](HybridResult result) {
+    result.stats.config_gen_seconds += plan.compile_seconds;
+    return result;
   };
 
   if (plan.strategy == HybridStrategy::kFpgaOnly) {
-    std::string fingerprint;
+    const RegexConfig& config = *plan.fpga_config;
+    const std::string fingerprint = FingerprintOf(config);
     if (cache != nullptr) {
-      auto config = CompileRegexConfig(pattern, hal->device_config(), options);
-      if (config.ok()) {
-        fingerprint = FingerprintOf(*config);
-        // Exact hit: this program already scanned this column version in
-        // full. Every backend (device, host program, cache) is
-        // bit-identical by construction, so the block serves any caller.
-        if (auto block = cache->Get(fingerprint, column_id, column_version,
-                                    snapshot_rows)) {
-          DOPPIO_ASSIGN_OR_RETURN(
-              out.result, BatFromBlock(*block, hal->bat_allocator()));
-          out.stats.strategy = "fpga-cache";
-          out.stats.rows_scanned = snapshot_rows;
-          out.stats.rows_matched = block->rows_matched;
-          out.stats.udf_software_seconds = total_watch.ElapsedSeconds();
-          return out;
-        }
-        // Subsumption: refine a cached coarser ('.*'-cut prefix) scan
-        // instead of rescanning the column.
-        std::optional<HybridResult> refined = TryPrefilterRefine(
-            cache, hal, input, *config, pattern, column_id, column_version,
-            snapshot_rows, options);
-        if (refined.has_value()) {
-          // The refined block has full device semantics — cache it under
-          // the full pattern so the next repeat is an exact hit.
-          OfferToCache(cache, fingerprint, column_id, column_version,
-                       *refined->result, /*degraded=*/false);
-          return std::move(*refined);
-        }
-        // Partial-extent reuse (docs/RESULT_CACHE.md): an earlier,
-        // shorter version of an append-only column is a row-identical
-        // prefix of this one, so its cached block answers those rows
-        // verbatim; only the appended tail is scanned, on the host
-        // backend with full device Match semantics. The stitched block
-        // is cached under the current version so the next repeat is an
-        // exact hit. Best-effort: failures fall through to offload.
-        if (auto prefix = cache->GetPrefix(fingerprint, column_id,
-                                           snapshot_rows)) {
-          ScanPlan tail;
-          tail.device = &hal->device_config();
-          ScanQuery& query = tail.queries.emplace_back();
-          query.config = &*config;
-          query.route = "fpga";
-          query.slices = {{SliceSource::kCached, 0, prefix->rows(),
-                           prefix->values.data(), prefix->rows_matched},
-                          {SliceSource::kHost, prefix->rows(),
-                           snapshot_rows - prefix->rows()}};
-          auto program = CompiledPuProgram::Compile(config->vector,
-                                                    hal->device_config());
-          auto result = ZeroedInt16Bat(snapshot_rows, hal->bat_allocator());
-          if (program.ok() && result.ok() && query.SetView(input).ok()) {
-            query.program = std::move(*program);
-            query.result = result->get();
-            if (ExecuteScanPlan(&tail).ok()) {
-              out.result = std::move(*result);
-              out.stats = std::move(query.stats);
-              // Only the tail was scanned.
-              out.stats.rows_scanned = snapshot_rows - prefix->rows();
-              OfferToCache(cache, fingerprint, column_id, column_version,
-                           *out.result, /*degraded=*/false);
-              return out;
-            }
+      // Exact hit: this program already scanned this column version in
+      // full. Every backend (device, host program, cache) is
+      // bit-identical by construction, so the block serves any caller.
+      if (auto block = cache->Get(fingerprint, column_id, column_version,
+                                  snapshot_rows)) {
+        DOPPIO_ASSIGN_OR_RETURN(out.result,
+                                BatFromBlock(*block, hal->bat_allocator()));
+        out.stats.strategy = "fpga-cache";
+        out.stats.rows_scanned = snapshot_rows;
+        out.stats.rows_matched = block->rows_matched;
+        out.stats.udf_software_seconds = total_watch.ElapsedSeconds();
+        return finish(std::move(out));
+      }
+      // Subsumption: refine a cached coarser ('.*'-cut prefix) scan
+      // instead of rescanning the column.
+      std::optional<HybridResult> refined = TryPrefilterRefine(
+          cache, hal, input, plan, column_id, column_version, snapshot_rows);
+      if (refined.has_value()) {
+        // The refined block has full device semantics — cache it under
+        // the full pattern so the next repeat is an exact hit.
+        OfferToCache(cache, fingerprint, column_id, column_version,
+                     *refined->result, /*degraded=*/false);
+        return finish(std::move(*refined));
+      }
+      // Partial-extent reuse (docs/RESULT_CACHE.md): an earlier,
+      // shorter version of an append-only column is a row-identical
+      // prefix of this one, so its cached block answers those rows
+      // verbatim; only the appended tail is scanned, on the host
+      // backend with full device Match semantics. The stitched block
+      // is cached under the current version so the next repeat is an
+      // exact hit. Best-effort: failures fall through to offload.
+      if (auto prefix = cache->GetPrefix(fingerprint, column_id,
+                                         snapshot_rows)) {
+        ScanPlan tail;
+        tail.device = &hal->device_config();
+        ScanQuery& query = tail.queries.emplace_back();
+        query.config = &config;
+        query.route = "fpga";
+        query.slices = {{SliceSource::kCached, 0, prefix->rows(),
+                         prefix->values.data(), prefix->rows_matched},
+                        {SliceSource::kHost, prefix->rows(),
+                         snapshot_rows - prefix->rows()}};
+        auto program =
+            CompiledPuProgram::Compile(config.vector, hal->device_config());
+        auto result = ZeroedInt16Bat(snapshot_rows, hal->bat_allocator());
+        if (program.ok() && result.ok() && query.SetView(input).ok()) {
+          query.program = std::move(*program);
+          query.result = result->get();
+          if (ExecuteScanPlan(&tail).ok()) {
+            out.result = std::move(*result);
+            out.stats = std::move(query.stats);
+            // Only the tail was scanned.
+            out.stats.rows_scanned = snapshot_rows - prefix->rows();
+            OfferToCache(cache, fingerprint, column_id, column_version,
+                         *out.result, /*degraded=*/false);
+            return finish(std::move(out));
           }
         }
       }
@@ -316,17 +334,16 @@ Result<HybridResult> ExecuteHybrid(Hal* hal, const Bat& input,
     const std::optional<BackendId> forced = ForcedBackend();
     if (forced == BackendId::kCpuScalar || forced == BackendId::kCpuSimd) {
       DOPPIO_ASSIGN_OR_RETURN(
-          HudfResult host,
-          RegexpHost(hal->device_config(), input, pattern, options));
+          HudfResult host, RegexpHost(hal->device_config(), input, config));
       out.result = std::move(host.result);
       out.stats = std::move(host.stats);
-      if (cache != nullptr && !fingerprint.empty() && out.result != nullptr) {
+      if (cache != nullptr && out.result != nullptr) {
         OfferToCache(cache, fingerprint, column_id, column_version,
                      *out.result, out.stats.fallback_rows > 0);
       }
-      return out;
+      return finish(std::move(out));
     }
-    Result<HudfResult> hw = offload(pattern);
+    Result<HudfResult> hw = offload();
     if (!hw.ok()) {
       // The HUDF degrades per-slice internally; an error surfacing here
       // that is still fallback-eligible (e.g. the device rejects the job
@@ -336,19 +353,18 @@ Result<HybridResult> ExecuteHybrid(Hal* hal, const Bat& input,
                               RunSoftwareScan(input, pattern, options));
       out.strategy = plan.strategy;
       out.stats.strategy = "fpga+sw_fallback";
-      return out;
+      return finish(std::move(out));
     }
     out.result = std::move(hw->result);
     out.stats = hw->stats;
     // A gated offload already passed through the scheduler, whose own
     // MaybeCacheResult pass inserts the block; only the direct-submit
     // path caches here.
-    if (cache != nullptr && gate == nullptr && !fingerprint.empty() &&
-        out.result != nullptr) {
+    if (cache != nullptr && gate == nullptr && out.result != nullptr) {
       OfferToCache(cache, fingerprint, column_id, column_version,
                    *out.result, out.stats.fallback_rows > 0);
     }
-    return out;
+    return finish(std::move(out));
   }
 
   if (plan.strategy == HybridStrategy::kHybrid) {
@@ -356,17 +372,12 @@ Result<HybridResult> ExecuteHybrid(Hal* hal, const Bat& input,
     // the candidate set is identical to what the offload would produce
     // (the completeness guard keeps saturated/degraded scans out of the
     // cache), so the post-process below yields bit-identical results.
-    std::string prefix_fingerprint;
+    const std::string prefix_fingerprint = FingerprintOf(*plan.fpga_config);
     std::shared_ptr<const sched::CachedResultBlock> prefix_block;
     if (cache != nullptr) {
-      auto prefix_config = CompileRegexConfig(plan.fpga_pattern,
-                                              hal->device_config(), options);
-      if (prefix_config.ok()) {
-        prefix_fingerprint = FingerprintOf(*prefix_config);
-        prefix_block = cache->Get(prefix_fingerprint, column_id,
-                                  column_version, snapshot_rows);
-        if (prefix_block == nullptr) cache->CountPrefilterReject();
-      }
+      prefix_block = cache->Get(prefix_fingerprint, column_id,
+                                column_version, snapshot_rows);
+      if (prefix_block == nullptr) cache->CountPrefilterReject();
     }
 
     HudfResult hw;
@@ -378,7 +389,7 @@ Result<HybridResult> ExecuteHybrid(Hal* hal, const Bat& input,
       cache->CountPrefilterUse(snapshot_rows);
     } else {
       // FPGA pre-filter on the prefix.
-      Result<HudfResult> hw_attempt = offload(plan.fpga_pattern);
+      Result<HudfResult> hw_attempt = offload();
       if (!hw_attempt.ok()) {
         if (!IsFallbackEligible(hw_attempt.status())) {
           return hw_attempt.status();
@@ -388,14 +399,13 @@ Result<HybridResult> ExecuteHybrid(Hal* hal, const Bat& input,
                                 RunSoftwareScan(input, pattern, options));
         out.strategy = plan.strategy;
         out.stats.strategy = "fpga+sw_fallback";
-        return out;
+        return finish(std::move(out));
       }
       hw = std::move(*hw_attempt);
       // Cache the prefix scan now — the post-process below overwrites the
       // candidate block in place. Gated offloads are cached by the
       // scheduler; caching them here too would double-account.
-      if (cache != nullptr && gate == nullptr &&
-          !prefix_fingerprint.empty() && hw.result != nullptr) {
+      if (cache != nullptr && gate == nullptr && hw.result != nullptr) {
         OfferToCache(cache, prefix_fingerprint, column_id, column_version,
                      *hw.result, hw.stats.fallback_rows > 0);
       }
@@ -405,10 +415,13 @@ Result<HybridResult> ExecuteHybrid(Hal* hal, const Bat& input,
         prefix_block != nullptr ? "hybrid+cache_prefilter" : "hybrid";
 
     // CPU post-processing of the tuples that passed, against the full
-    // expression (lazy DFA; the prefix already pruned the bulk).
+    // expression (lazy DFA over the planned AST; the prefix already
+    // pruned the bulk).
     Stopwatch cpu_watch;
-    DOPPIO_ASSIGN_OR_RETURN(std::unique_ptr<DfaMatcher> matcher,
-                            DfaMatcher::Compile(pattern, options));
+    DOPPIO_ASSIGN_OR_RETURN(Program program,
+                            CompileProgram(*plan.ast, options));
+    std::unique_ptr<DfaMatcher> matcher =
+        DfaMatcher::FromProgram(std::move(program));
     int64_t matched = 0;
     for (int64_t i = 0; i < hw.result->count(); ++i) {
       int16_t prefilter = hw.result->GetInt16(i);
@@ -426,14 +439,14 @@ Result<HybridResult> ExecuteHybrid(Hal* hal, const Bat& input,
     out.stats.udf_software_seconds += cpu_watch.ElapsedSeconds();
     out.stats.rows_matched = matched;
     out.result = std::move(hw.result);
-    return out;
+    return finish(std::move(out));
   }
 
   // Pure software fallback.
   DOPPIO_ASSIGN_OR_RETURN(HybridResult sw,
                           RunSoftwareScan(input, pattern, options));
   sw.strategy = plan.strategy;
-  return sw;
+  return finish(std::move(sw));
 }
 
 }  // namespace doppio

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -16,6 +17,7 @@
 #include "db/engine_stats.h"
 #include "db/hudf.h"
 #include "hal/hal.h"
+#include "hw/config_compiler.h"
 #include "regex/dfa_matcher.h"
 #include "regex/pattern_ast.h"
 
@@ -26,15 +28,30 @@ class ResultCache;
 
 enum class HybridStrategy { kFpgaOnly, kHybrid, kSoftwareOnly };
 
+/// A string predicate's pattern, compiled once. The cost model, the
+/// executor, its cache probes and the CPU post-process all read this plan
+/// instead of compiling the pattern again.
 struct HybridPlan {
   HybridStrategy strategy = HybridStrategy::kSoftwareOnly;
-  /// The prefix offloaded to the FPGA (kHybrid/kFpgaOnly).
+  /// The prefix offloaded to the FPGA (kHybrid/kFpgaOnly), rendered in the
+  /// regex dialect — what a gated offload submits.
   std::string fpga_pattern;
   /// Elements of the full pattern (always post-processed for kHybrid).
   std::string full_pattern;
+  /// The full pattern, parsed; its edge anchors are folded into `options`.
+  AstNodePtr ast;
+  CompileOptions options;
+  /// The program the device runs: the full pattern's (kFpgaOnly) or the
+  /// prefix's (kHybrid). Empty for kSoftwareOnly.
+  std::optional<RegexConfig> fpga_config;
+  /// Host time of every config compile planning ran, failed attempts
+  /// included: the statement's configuration-generation phase.
+  double compile_seconds = 0;
 };
 
-/// Decides how to execute `pattern` on the given deployment.
+/// Decides how to execute `pattern` on the given deployment: compiles the
+/// full pattern, and when it exceeds the geometry, the longest '.*'-cut
+/// prefix that fits.
 Result<HybridPlan> PlanHybrid(std::string_view pattern,
                               const DeviceConfig& device,
                               const CompileOptions& options = {});
@@ -48,7 +65,7 @@ struct HybridResult {
   int64_t cpu_postprocessed = 0;
 };
 
-/// Executes a pattern with automatic FPGA/hybrid/software selection.
+/// Executes a plan with automatic FPGA/hybrid/software selection.
 ///
 /// When `gate` is non-null, every FPGA offload (the kFpgaOnly pattern and
 /// the kHybrid pre-filter prefix) is admitted through it instead of being
@@ -71,6 +88,13 @@ struct HybridResult {
 /// Completed device-semantics scans are offered back to the cache when
 /// gate == nullptr (a gated offload is cached by the scheduler itself).
 /// A null cache is the paper's every-query-rescans path.
+/// stats.config_gen_seconds includes the plan's compile_seconds.
+Result<HybridResult> ExecuteHybrid(Hal* hal, const Bat& input,
+                                   const HybridPlan& plan,
+                                   RegexAdmissionGate* gate = nullptr,
+                                   sched::ResultCache* cache = nullptr);
+
+/// Plans `pattern` against the HAL's geometry, then executes the plan.
 Result<HybridResult> ExecuteHybrid(Hal* hal, const Bat& input,
                                    std::string_view pattern,
                                    const CompileOptions& options = {},

@@ -1,10 +1,38 @@
 #include "hw/config_compiler.h"
 
 #include "common/stopwatch.h"
+#include "obs/metrics.h"
 #include "regex/pattern_parser.h"
 #include "regex/token_extractor.h"
 
 namespace doppio {
+
+namespace {
+
+obs::Counter& ConfigCompilesCounter() {
+  static obs::Counter* counter = obs::MetricsRegistry::Global().GetCounter(
+      "doppio.regex.config_compiles",
+      "single-pattern configuration-vector compiles (CompileRegexConfig)");
+  return *counter;
+}
+
+Result<RegexConfig> CompileAst(const AstNode& ast, const DeviceConfig& device,
+                               const CompileOptions& options) {
+  Stopwatch watch;
+  DOPPIO_ASSIGN_OR_RETURN(TokenNfa nfa, ExtractTokenNfa(ast, options));
+  DOPPIO_RETURN_NOT_OK(CheckCapacity(nfa, device));
+  DOPPIO_ASSIGN_OR_RETURN(ConfigVector vector, ConfigVector::Encode(nfa));
+
+  RegexConfig config;
+  config.states_used = nfa.NumStates();
+  config.matchers_used = nfa.TotalMatchers();
+  config.vector = std::move(vector);
+  config.nfa = std::move(nfa);
+  config.compile_seconds = watch.ElapsedSeconds();
+  return config;
+}
+
+}  // namespace
 
 Status CheckCapacity(const TokenNfa& nfa, const DeviceConfig& device) {
   const int matchers = nfa.TotalMatchers();
@@ -26,18 +54,8 @@ Status CheckCapacity(const TokenNfa& nfa, const DeviceConfig& device) {
 Result<RegexConfig> CompileRegexConfig(const AstNode& ast,
                                        const DeviceConfig& device,
                                        const CompileOptions& options) {
-  Stopwatch watch;
-  DOPPIO_ASSIGN_OR_RETURN(TokenNfa nfa, ExtractTokenNfa(ast, options));
-  DOPPIO_RETURN_NOT_OK(CheckCapacity(nfa, device));
-  DOPPIO_ASSIGN_OR_RETURN(ConfigVector vector, ConfigVector::Encode(nfa));
-
-  RegexConfig config;
-  config.states_used = nfa.NumStates();
-  config.matchers_used = nfa.TotalMatchers();
-  config.vector = std::move(vector);
-  config.nfa = std::move(nfa);
-  config.compile_seconds = watch.ElapsedSeconds();
-  return config;
+  ConfigCompilesCounter().Add();
+  return CompileAst(ast, device, options);
 }
 
 Result<RegexConfig> CompileRegexSetConfig(
@@ -64,6 +82,7 @@ Result<RegexConfig> CompileRegexSetConfig(
 Result<RegexConfig> CompileRegexConfig(std::string_view pattern,
                                        const DeviceConfig& device,
                                        const CompileOptions& options) {
+  ConfigCompilesCounter().Add();
   Stopwatch watch;
   // '^'/'$' anchors become compile flags; the extractor rejects them
   // (the hardware searches unanchored), routing such patterns to software.
@@ -71,7 +90,7 @@ Result<RegexConfig> CompileRegexConfig(std::string_view pattern,
                           ParseAnchoredPattern(pattern));
   DOPPIO_ASSIGN_OR_RETURN(
       RegexConfig config,
-      CompileRegexConfig(*parsed.ast, device, parsed.Options(options)));
+      CompileAst(*parsed.ast, device, parsed.Options(options)));
   config.compile_seconds = watch.ElapsedSeconds();
   return config;
 }

@@ -30,58 +30,65 @@ Result<ConfigVector> ConfigVector::Encode(const TokenNfa& nfa) {
   if (nfa.tokens.size() > 255 || nfa.states.size() > 255) {
     return Status::CapacityExceeded("token NFA too large for config vector");
   }
-  ConfigVector out;
-  auto& b = out.bytes_;
-  b.push_back(kMagic);
-  b.push_back(kVersion);
-  b.push_back(static_cast<uint8_t>(nfa.tokens.size()));
-  b.push_back(static_cast<uint8_t>(nfa.states.size()));
-
+  const size_t trigger_bytes = (nfa.tokens.size() + 7) / 8;
+  const size_t pred_bytes = (nfa.states.size() + 7) / 8;
+  size_t size = 4;
   for (const HwToken& token : nfa.tokens) {
-    b.push_back(static_cast<uint8_t>(token.chain.size()));
+    size += 1;
     for (const CharSpec& spec : token.chain) {
-      if (spec.any) {
-        b.push_back(kAnySpec);
-        continue;
-      }
-      if (spec.ranges.size() >= kAnySpec) {
+      if (!spec.any && spec.ranges.size() >= kAnySpec) {
         return Status::Internal("character spec with too many ranges");
       }
-      b.push_back(static_cast<uint8_t>(spec.ranges.size()));
+      size += 1 + (spec.any ? 0 : 2 * spec.ranges.size());
+    }
+  }
+  for (const HwState& state : nfa.states) {
+    size += trigger_bytes + pred_bytes + 1 + (state.pattern_tag != 0 ? 1 : 0);
+  }
+  const size_t words = (size + kConfigWordBytes - 1) / kConfigWordBytes;
+
+  // Zero-filled to whole 512-bit words; every field is written in place.
+  ConfigVector out;
+  out.bytes_.assign(words * kConfigWordBytes, 0);
+  uint8_t* b = out.bytes_.data();
+  *b++ = kMagic;
+  *b++ = kVersion;
+  *b++ = static_cast<uint8_t>(nfa.tokens.size());
+  *b++ = static_cast<uint8_t>(nfa.states.size());
+
+  for (const HwToken& token : nfa.tokens) {
+    *b++ = static_cast<uint8_t>(token.chain.size());
+    for (const CharSpec& spec : token.chain) {
+      if (spec.any) {
+        *b++ = kAnySpec;
+        continue;
+      }
+      *b++ = static_cast<uint8_t>(spec.ranges.size());
       for (const CharSpec::Range& r : spec.ranges) {
-        b.push_back(r.lo);
-        b.push_back(r.hi);
+        *b++ = r.lo;
+        *b++ = r.hi;
       }
     }
   }
 
-  const size_t trigger_bytes = (nfa.tokens.size() + 7) / 8;
-  const size_t pred_bytes = (nfa.states.size() + 7) / 8;
   for (const HwState& state : nfa.states) {
-    std::vector<uint8_t> trigger(trigger_bytes, 0);
     for (int t : state.trigger_tokens) {
-      trigger[static_cast<size_t>(t) / 8] |=
-          static_cast<uint8_t>(1u << (t % 8));
+      b[static_cast<size_t>(t) / 8] |= static_cast<uint8_t>(1u << (t % 8));
     }
-    b.insert(b.end(), trigger.begin(), trigger.end());
-    std::vector<uint8_t> preds(pred_bytes, 0);
+    b += trigger_bytes;
     for (int p : state.pred_states) {
-      preds[static_cast<size_t>(p) / 8] |=
-          static_cast<uint8_t>(1u << (p % 8));
+      b[static_cast<size_t>(p) / 8] |= static_cast<uint8_t>(1u << (p % 8));
     }
-    b.insert(b.end(), preds.begin(), preds.end());
+    b += pred_bytes;
     uint8_t flags = 0;
     if (state.latch) flags |= 1;
     if (state.accept) flags |= 2;
     if (state.pattern_tag != 0) flags |= 4;
-    b.push_back(flags);
+    *b++ = flags;
     if (state.pattern_tag != 0) {
-      b.push_back(static_cast<uint8_t>(state.pattern_tag));
+      *b++ = static_cast<uint8_t>(state.pattern_tag);
     }
   }
-
-  // Pad to whole 512-bit words.
-  while (b.size() % kConfigWordBytes != 0) b.push_back(0);
   return out;
 }
 

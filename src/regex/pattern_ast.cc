@@ -64,8 +64,10 @@ AstNodePtr AstNode::Clone() const {
 namespace {
 
 // Escapes regex metacharacters in a literal for round-trippable rendering.
+// '^' and '$' are literal inside a pattern but anchors at its edges, and a
+// rendering can land anywhere in a larger pattern, so both are escaped.
 std::string EscapeLiteral(const std::string& text) {
-  static const std::string kMeta = R"(.*+?()[]{}|\:)";
+  static const std::string kMeta = R"(.*+?()[]{}|\:^$)";
   std::string out;
   for (char c : text) {
     if (kMeta.find(c) != std::string::npos) out.push_back('\\');
@@ -89,7 +91,10 @@ std::string AstNode::ToString() const {
     case AstKind::kConcat: {
       std::string out;
       for (const auto& child : children) {
-        bool needs_group = child->kind == AstKind::kAlternate;
+        // An empty child renders as "()": dropping it would merge the
+        // literals around it into one token chain.
+        bool needs_group = child->kind == AstKind::kAlternate ||
+                           child->kind == AstKind::kEmpty;
         if (needs_group) out.push_back('(');
         out += child->ToString();
         if (needs_group) out.push_back(')');

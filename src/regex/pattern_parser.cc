@@ -37,9 +37,10 @@ class Parser {
   }
 
   Result<AstNodePtr> ParseAlternation() {
-    std::vector<AstNodePtr> alts;
     auto first = ParseConcat();
     if (!first.ok()) return first.status();
+    if (AtEnd() || Peek() != '|') return first;
+    std::vector<AstNodePtr> alts;
     alts.push_back(std::move(*first));
     while (Match('|')) {
       auto next = ParseConcat();
@@ -60,6 +61,13 @@ class Parser {
     };
 
     while (!AtEnd() && Peek() != '|' && Peek() != ')') {
+      // A plain byte with no quantifier after it joins the literal run
+      // directly, without an atom node.
+      if (IsPlainByte(Peek()) && (pos_ + 1 >= input_.size() ||
+                                  !IsQuantifierStart(input_[pos_ + 1]))) {
+        literal_run.push_back(Advance());
+        continue;
+      }
       bool was_group = false;
       auto atom = ParseAtom(&was_group);
       if (!atom.ok()) return atom.status();
@@ -97,6 +105,17 @@ class Parser {
 
   static bool IsQuantifierStart(char c) {
     return c == '*' || c == '+' || c == '?' || c == '{';
+  }
+
+  // Bytes ParseAtom turns into a one-byte literal.
+  static bool IsPlainByte(char c) {
+    switch (c) {
+      case '(': case ')': case '[': case ']': case '{': case '}':
+      case '.': case '\\': case '*': case '+': case '?': case '|':
+        return false;
+      default:
+        return true;
+    }
   }
 
   Result<AstNodePtr> ParseQuantifier(AstNodePtr atom) {

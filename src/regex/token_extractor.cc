@@ -1,8 +1,8 @@
 #include "regex/token_extractor.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <bit>
+#include <utility>
 
 #include "regex/pattern_parser.h"
 
@@ -38,7 +38,9 @@ void CollectConcatChildren(const AstNode& node,
   }
 }
 
-// Expands bounded repetitions so only *, +, ? remain.
+// Expands bounded repetitions so only *, +, ? remain. Returns null when
+// the subtree holds no bounded repetition — the caller then uses `node`
+// itself — so only the expanded spine is ever copied.
 Result<AstNodePtr> ExpandRepeats(const AstNode& node, int* budget) {
   if (--(*budget) < 0) {
     return Status::CapacityExceeded("pattern expansion too large");
@@ -47,16 +49,24 @@ Result<AstNodePtr> ExpandRepeats(const AstNode& node, int* budget) {
     case AstKind::kEmpty:
     case AstKind::kLiteral:
     case AstKind::kCharClass:
-      return node.Clone();
+      return AstNodePtr();
     case AstKind::kConcat:
     case AstKind::kAlternate: {
-      std::vector<AstNodePtr> children;
-      children.reserve(node.children.size());
-      for (const auto& child : node.children) {
+      std::vector<AstNodePtr> children;  // filled from the first change on
+      for (size_t i = 0; i < node.children.size(); ++i) {
         DOPPIO_ASSIGN_OR_RETURN(AstNodePtr expanded,
-                                ExpandRepeats(*child, budget));
-        children.push_back(std::move(expanded));
+                                ExpandRepeats(*node.children[i], budget));
+        if (expanded == nullptr && children.empty()) continue;
+        if (children.empty()) {
+          children.reserve(node.children.size());
+          for (size_t k = 0; k < i; ++k) {
+            children.push_back(node.children[k]->Clone());
+          }
+        }
+        children.push_back(expanded != nullptr ? std::move(expanded)
+                                               : node.children[i]->Clone());
       }
+      if (children.empty()) return AstNodePtr();
       return node.kind == AstKind::kConcat
                  ? AstNode::Concat(std::move(children))
                  : AstNode::Alternate(std::move(children));
@@ -67,12 +77,13 @@ Result<AstNodePtr> ExpandRepeats(const AstNode& node, int* budget) {
       int min = node.repeat_min;
       int max = node.repeat_max;
       // Canonical forms pass through.
-      if ((min == 0 || min == 1) && max == -1) {
+      const bool canonical = ((min == 0 || min == 1) && max == -1) ||
+                             (min == 0 && max == 1);
+      if (canonical) {
+        if (child == nullptr) return AstNodePtr();
         return AstNode::Repeat(std::move(child), min, max);
       }
-      if (min == 0 && max == 1) {
-        return AstNode::Repeat(std::move(child), 0, 1);
-      }
+      if (child == nullptr) child = node.children[0]->Clone();
       *budget -= min;
       if (*budget < 0) {
         return Status::CapacityExceeded("pattern expansion too large");
@@ -93,6 +104,53 @@ Result<AstNodePtr> ExpandRepeats(const AstNode& node, int* budget) {
   return Status::Internal("unknown AST node");
 }
 
+// Rows of bits over the extractor's positions: one row per state, `words`
+// 64-bit words per row, in one flat buffer.
+class BitRows {
+ public:
+  BitRows(size_t rows, size_t bits)
+      : words_((bits + 63) / 64), bits_(rows * words_, 0) {}
+
+  uint64_t* row(size_t r) { return bits_.data() + r * words_; }
+  const uint64_t* row(size_t r) const { return bits_.data() + r * words_; }
+  bool Test(size_t r, size_t b) const {
+    return (row(r)[b / 64] >> (b % 64)) & 1u;
+  }
+  void Set(size_t r, size_t b) { row(r)[b / 64] |= uint64_t{1} << (b % 64); }
+  void Clear(size_t r, size_t b) {
+    row(r)[b / 64] &= ~(uint64_t{1} << (b % 64));
+  }
+  void OrInto(size_t dst, size_t src) {
+    for (size_t w = 0; w < words_; ++w) row(dst)[w] |= row(src)[w];
+  }
+  void ClearAll() { std::fill(bits_.begin(), bits_.end(), 0); }
+  /// Row `a` without bit `a` equals row `b` without bit `b`.
+  bool EqualExceptSelf(size_t a, size_t b) const {
+    for (size_t w = 0; w < words_; ++w) {
+      uint64_t x = row(a)[w];
+      uint64_t y = row(b)[w];
+      if (w == a / 64) x &= ~(uint64_t{1} << (a % 64));
+      if (w == b / 64) y &= ~(uint64_t{1} << (b % 64));
+      if (x != y) return false;
+    }
+    return true;
+  }
+  /// Calls fn(bit) for every set bit of row `r`, ascending.
+  template <typename Fn>
+  void ForEach(size_t r, Fn&& fn) const {
+    for (size_t w = 0; w < words_; ++w) {
+      for (uint64_t bits = row(r)[w]; bits != 0; bits &= bits - 1) {
+        fn(static_cast<int>(w * 64 + static_cast<size_t>(
+                                         std::countr_zero(bits))));
+      }
+    }
+  }
+
+ private:
+  size_t words_;
+  std::vector<uint64_t> bits_;
+};
+
 class Extractor {
  public:
   explicit Extractor(const CompileOptions& options) : options_(options) {}
@@ -104,7 +162,8 @@ class Extractor {
     }
     int budget = kMaxPositions;
     DOPPIO_ASSIGN_OR_RETURN(AstNodePtr expanded, ExpandRepeats(ast, &budget));
-    DOPPIO_ASSIGN_OR_RETURN(Frag frag, Build(*expanded));
+    DOPPIO_ASSIGN_OR_RETURN(Frag frag,
+                            Build(expanded != nullptr ? *expanded : ast));
     if (frag.nullable) {
       return Status::CapacityExceeded(
           "pattern matches the empty string; predicate is trivially true "
@@ -123,13 +182,20 @@ class Extractor {
     bool nullable = false;
   };
 
-  struct State {
-    std::set<int> tokens;  // position-token ids, deduped later
-    std::set<int> preds;
+  struct StateFlags {
     bool start_gated = false;
     bool latch = false;
     bool accept = false;
     bool alive = true;
+  };
+
+  // Per-state graph: `tokens` holds the positions merged into a state,
+  // `preds` its predecessor states (both indexed by position id).
+  struct StateGraph {
+    explicit StateGraph(size_t n) : tokens(n, n), preds(n, n), flags(n) {}
+    BitRows tokens;
+    BitRows preds;
+    std::vector<StateFlags> flags;
   };
 
   CharSpec SpecFromSet(CharSet set) const {
@@ -145,21 +211,26 @@ class Extractor {
       spec.any = true;
       return spec;
     }
-    int run_start = -1;
-    for (int c = 0; c <= 256; ++c) {
-      bool in = c < 256 && set.Test(static_cast<uint8_t>(c));
-      if (in && run_start < 0) run_start = c;
-      if (!in && run_start >= 0) {
-        spec.ranges.push_back(CharSpec::Range{static_cast<uint8_t>(run_start),
-                                              static_cast<uint8_t>(c - 1)});
-        run_start = -1;
-      }
+    // One range per run of member bytes. A run reaching byte 255 ends at
+    // hi = 0xff: `end` is one past the run and may be 256.
+    int runs = 0;
+    for (int lo = set.NextMember(0); lo < 256;
+         lo = set.NextMember(set.NextNonMember(lo))) {
+      ++runs;
+    }
+    spec.ranges.reserve(static_cast<size_t>(runs));
+    for (int lo = set.NextMember(0); lo < 256;) {
+      const int end = set.NextNonMember(lo);
+      spec.ranges.push_back(CharSpec::Range{static_cast<uint8_t>(lo),
+                                            static_cast<uint8_t>(end - 1)});
+      lo = set.NextMember(end);
     }
     return spec;
   }
 
   void AppendToChain(HwToken* chain, const AstNode& node) const {
     if (node.kind == AstKind::kLiteral) {
+      chain->chain.reserve(chain->chain.size() + node.literal.size());
       for (char c : node.literal) {
         chain->chain.push_back(
             SpecFromSet(CharSet::Single(static_cast<uint8_t>(c))));
@@ -179,24 +250,23 @@ class Extractor {
     }
     positions_.push_back(std::move(token));
     pos_latch_.push_back(false);
-    follow_.emplace_back();
     return static_cast<int>(positions_.size()) - 1;
   }
 
   void Connect(const std::vector<int>& from, const std::vector<int>& to) {
     for (int q : from) {
-      for (int p : to) follow_[static_cast<size_t>(q)].insert(p);
+      for (int p : to) follow_.emplace_back(q, p);
     }
   }
 
-  Frag ConcatFrags(Frag a, const Frag& b) {
+  Frag ConcatFrags(Frag a, Frag b) {
     Connect(a.last, b.first);
     Frag out;
-    out.first = a.first;
+    out.first = std::move(a.first);
     if (a.nullable) {
       out.first.insert(out.first.end(), b.first.begin(), b.first.end());
     }
-    out.last = b.last;
+    out.last = std::move(b.last);
     if (b.nullable) {
       out.last.insert(out.last.end(), a.last.begin(), a.last.end());
     }
@@ -248,7 +318,7 @@ class Extractor {
             continue;
           }
           DOPPIO_ASSIGN_OR_RETURN(Frag sub, Build(child));
-          acc = ConcatFrags(std::move(acc), sub);
+          acc = ConcatFrags(std::move(acc), std::move(sub));
           ++i;
         }
         return acc;
@@ -284,73 +354,69 @@ class Extractor {
   // Builds states from positions, merges equivalent ones, dedupes tokens.
   Result<TokenNfa> Assemble(const Frag& frag) {
     const size_t n = positions_.size();
-    std::vector<State> states(n);
-    std::set<int> first_set(frag.first.begin(), frag.first.end());
-    for (size_t p = 0; p < n; ++p) {
-      states[p].tokens.insert(static_cast<int>(p));
-      states[p].latch = pos_latch_[p];
-      states[p].start_gated = first_set.count(static_cast<int>(p)) > 0;
+    StateGraph graph(n);
+    for (int p : frag.first) {
+      graph.flags[static_cast<size_t>(p)].start_gated = true;
     }
-    for (size_t q = 0; q < n; ++q) {
-      for (int p : follow_[q]) {
-        if (!states[static_cast<size_t>(p)].start_gated) {
-          states[static_cast<size_t>(p)].preds.insert(static_cast<int>(q));
-        }
+    for (size_t p = 0; p < n; ++p) {
+      graph.tokens.Set(p, p);
+      graph.flags[p].latch = pos_latch_[p];
+    }
+    for (const auto& [q, p] : follow_) {
+      if (!graph.flags[static_cast<size_t>(p)].start_gated) {
+        graph.preds.Set(static_cast<size_t>(p), static_cast<size_t>(q));
       }
     }
-    for (int p : frag.last) states[static_cast<size_t>(p)].accept = true;
+    for (int p : frag.last) graph.flags[static_cast<size_t>(p)].accept = true;
 
-    MergeEquivalentStates(&states);
-    return Materialize(states);
+    MergeEquivalentStates(&graph);
+    return Materialize(graph);
   }
 
-  static std::set<int> NormalizeSelf(const std::set<int>& in, int self) {
-    std::set<int> out;
-    for (int v : in) out.insert(v == self ? -1 : v);
-    return out;
-  }
-
-  void MergeEquivalentStates(std::vector<State>* states) const {
-    const int n = static_cast<int>(states->size());
-    // Successor sets (rebuilt after each merge round).
+  // Merges state b into an earlier state a when both carry the same flags,
+  // neither references the other, and their predecessor and successor
+  // sets agree up to self loops. The scan restarts after every merge.
+  static void MergeEquivalentStates(StateGraph* g) {
+    const size_t n = g->flags.size();
+    std::vector<StateFlags>& flags = g->flags;
+    BitRows succs(n, n);
     bool changed = true;
     while (changed) {
       changed = false;
-      std::vector<std::set<int>> succs(static_cast<size_t>(n));
-      for (int s = 0; s < n; ++s) {
-        if (!(*states)[static_cast<size_t>(s)].alive) continue;
-        for (int p : (*states)[static_cast<size_t>(s)].preds) {
-          succs[static_cast<size_t>(p)].insert(s);
-        }
+      succs.ClearAll();
+      for (size_t s = 0; s < n; ++s) {
+        if (!flags[s].alive) continue;
+        g->preds.ForEach(s, [&](int p) {
+          succs.Set(static_cast<size_t>(p), s);
+        });
       }
-      for (int a = 0; a < n && !changed; ++a) {
-        State& sa = (*states)[static_cast<size_t>(a)];
-        if (!sa.alive) continue;
-        for (int b = a + 1; b < n; ++b) {
-          State& sb = (*states)[static_cast<size_t>(b)];
-          if (!sb.alive) continue;
-          if (sa.latch != sb.latch || sa.accept != sb.accept ||
-              sa.start_gated != sb.start_gated) {
+      for (size_t a = 0; a < n && !changed; ++a) {
+        if (!flags[a].alive) continue;
+        for (size_t b = a + 1; b < n; ++b) {
+          if (!flags[b].alive) continue;
+          if (flags[a].latch != flags[b].latch ||
+              flags[a].accept != flags[b].accept ||
+              flags[a].start_gated != flags[b].start_gated) {
             continue;
           }
           // No cross references (other than self loops).
-          if (sa.preds.count(b) != 0 || sb.preds.count(a) != 0) continue;
-          if (NormalizeSelf(sa.preds, a) != NormalizeSelf(sb.preds, b)) {
+          if (g->preds.Test(a, b) || g->preds.Test(b, a)) continue;
+          if (g->preds.Test(a, a) != g->preds.Test(b, b) ||
+              !g->preds.EqualExceptSelf(a, b)) {
             continue;
           }
-          if (NormalizeSelf(succs[static_cast<size_t>(a)], a) !=
-              NormalizeSelf(succs[static_cast<size_t>(b)], b)) {
+          if (succs.Test(a, a) != succs.Test(b, b) ||
+              !succs.EqualExceptSelf(a, b)) {
             continue;
           }
           // Merge b into a.
-          sa.tokens.insert(sb.tokens.begin(), sb.tokens.end());
-          bool b_self = sb.preds.count(b) != 0;
-          sb.alive = false;
-          if (b_self) sa.preds.insert(a);
-          for (int s = 0; s < n; ++s) {
-            State& st = (*states)[static_cast<size_t>(s)];
-            if (!st.alive) continue;
-            if (st.preds.erase(b) != 0) st.preds.insert(a);
+          g->tokens.OrInto(a, b);
+          flags[b].alive = false;
+          if (g->preds.Test(b, b)) g->preds.Set(a, a);
+          for (size_t s = 0; s < n; ++s) {
+            if (!flags[s].alive || !g->preds.Test(s, b)) continue;
+            g->preds.Clear(s, b);
+            g->preds.Set(s, a);
           }
           changed = true;
           break;
@@ -359,51 +425,54 @@ class Extractor {
     }
   }
 
-  Result<TokenNfa> Materialize(const std::vector<State>& states) const {
+  Result<TokenNfa> Materialize(const StateGraph& g) {
     // Order states: non-accept first, accept last (paper: the end state is
     // the highest-indexed one).
+    const size_t n = g.flags.size();
     std::vector<int> order;
-    for (size_t s = 0; s < states.size(); ++s) {
-      if (states[s].alive && !states[s].accept) {
-        order.push_back(static_cast<int>(s));
+    order.reserve(n);
+    for (bool accept : {false, true}) {
+      for (size_t s = 0; s < n; ++s) {
+        if (g.flags[s].alive && g.flags[s].accept == accept) {
+          order.push_back(static_cast<int>(s));
+        }
       }
     }
-    for (size_t s = 0; s < states.size(); ++s) {
-      if (states[s].alive && states[s].accept) {
-        order.push_back(static_cast<int>(s));
-      }
-    }
-    std::map<int, int> remap;
+    std::vector<int> remap(n, -1);
     for (size_t i = 0; i < order.size(); ++i) {
-      remap[order[i]] = static_cast<int>(i);
+      remap[static_cast<size_t>(order[i])] = static_cast<int>(i);
     }
 
     TokenNfa nfa;
-    std::map<std::vector<CharSpec>, int> token_ids;
-    auto intern_token = [&](const HwToken& token) {
-      auto it = token_ids.find(token.chain);
-      if (it != token_ids.end()) return it->second;
-      int id = static_cast<int>(nfa.tokens.size());
-      nfa.tokens.push_back(token);
-      token_ids[token.chain] = id;
-      return id;
+    nfa.tokens.reserve(n);
+    nfa.states.resize(order.size());
+    // Every position belongs to exactly one live state, so each is
+    // interned once and can be moved out of positions_.
+    auto intern_token = [&](int pos) {
+      HwToken& token = positions_[static_cast<size_t>(pos)];
+      for (size_t id = 0; id < nfa.tokens.size(); ++id) {
+        if (nfa.tokens[id].chain == token.chain) return static_cast<int>(id);
+      }
+      nfa.tokens.push_back(std::move(token));
+      return static_cast<int>(nfa.tokens.size()) - 1;
     };
 
-    for (int old_id : order) {
-      const State& st = states[static_cast<size_t>(old_id)];
-      HwState out;
-      std::set<int> trigger_set;
-      for (int pos : st.tokens) {
-        trigger_set.insert(intern_token(positions_[static_cast<size_t>(pos)]));
-      }
-      out.trigger_tokens.assign(trigger_set.begin(), trigger_set.end());
-      for (int p : st.preds) {
-        out.pred_states.push_back(remap.at(p));
-      }
+    for (size_t i = 0; i < order.size(); ++i) {
+      const size_t old_id = static_cast<size_t>(order[i]);
+      HwState& out = nfa.states[i];
+      g.tokens.ForEach(old_id, [&](int pos) {
+        out.trigger_tokens.push_back(intern_token(pos));
+      });
+      std::sort(out.trigger_tokens.begin(), out.trigger_tokens.end());
+      out.trigger_tokens.erase(
+          std::unique(out.trigger_tokens.begin(), out.trigger_tokens.end()),
+          out.trigger_tokens.end());
+      g.preds.ForEach(old_id, [&](int p) {
+        out.pred_states.push_back(remap[static_cast<size_t>(p)]);
+      });
       std::sort(out.pred_states.begin(), out.pred_states.end());
-      out.latch = st.latch;
-      out.accept = st.accept;
-      nfa.states.push_back(std::move(out));
+      out.latch = g.flags[old_id].latch;
+      out.accept = g.flags[old_id].accept;
     }
     DOPPIO_RETURN_NOT_OK(nfa.Validate());
     return nfa;
@@ -412,7 +481,8 @@ class Extractor {
   const CompileOptions& options_;
   std::vector<HwToken> positions_;
   std::vector<bool> pos_latch_;
-  std::vector<std::set<int>> follow_;
+  /// Follow edges (q, p): position p may follow position q.
+  std::vector<std::pair<int, int>> follow_;
 };
 
 }  // namespace

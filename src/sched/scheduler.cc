@@ -311,12 +311,14 @@ Result<QueryTicket> QueryScheduler::Submit(Session* session, const Bat& input,
       TableStats stats;
       stats.rows = input.count();
       stats.heap_bytes = input.heap()->size_bytes();
-      auto fpga_seconds = cost_model_->PredictFpga(request->pattern, stats);
-      // The CPU route runs the registry-chosen host backend on one pool
+      // Both predictions read the program the cache already holds. The
+      // CPU route runs the registry-chosen host backend on one pool
       // worker; the prediction knows which backend that is.
-      auto host = cost_model_->PredictHostProgram(request->pattern, stats);
-      if (fpga_seconds.ok() && host.ok() &&
-          host->seconds < *fpga_seconds) {
+      const double fpga_seconds =
+          cost_model_->PredictFpga(request->program->config, stats);
+      auto host =
+          cost_model_->PredictHostProgram(*request->program->program, stats);
+      if (host.ok() && host->seconds < fpga_seconds) {
         request->route = Route::kCpuProgram;
       }
     }

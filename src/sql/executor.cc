@@ -340,7 +340,7 @@ Result<std::vector<int64_t>> ComputeSelection(ColumnStoreEngine* engine,
                                               PlannedFilter filter,
                                               QueryStats* stats) {
   const int64_t n = rel.rows();
-  std::vector<uint8_t> keep(static_cast<size_t>(n), 1);
+  std::vector<uint8_t> keep;  // empty until the first filter: all rows
   ExprPtr residual = std::move(filter.residual);
 
   for (auto& fast : filter.fast) {
@@ -360,10 +360,15 @@ Result<std::vector<int64_t>> ComputeSelection(ColumnStoreEngine* engine,
     DOPPIO_ASSIGN_OR_RETURN(
         std::vector<uint8_t> bits,
         engine->EvalStringFilter(*column, fast.spec, stats));
+    if (keep.empty()) {
+      keep = std::move(bits);
+      continue;
+    }
     for (int64_t i = 0; i < n; ++i) {
       keep[static_cast<size_t>(i)] &= bits[static_cast<size_t>(i)];
     }
   }
+  if (keep.empty()) keep.assign(static_cast<size_t>(n), 1);
 
   if (residual != nullptr) {
     EvalContext ctx;
@@ -376,10 +381,17 @@ Result<std::vector<int64_t>> ComputeSelection(ColumnStoreEngine* engine,
     }
   }
 
-  std::vector<int64_t> selection;
+  // Branch-free: every row id is written, and the cursor advances past
+  // the selected ones.
+  std::vector<int64_t> selection(static_cast<size_t>(n));
+  const uint8_t* flags = keep.data();
+  int64_t* out = selection.data();
+  size_t selected = 0;
   for (int64_t i = 0; i < n; ++i) {
-    if (keep[static_cast<size_t>(i)] != 0) selection.push_back(i);
+    out[selected] = i;
+    selected += flags[i] != 0 ? 1 : 0;
   }
+  selection.resize(selected);
   return selection;
 }
 
@@ -476,6 +488,54 @@ struct GroupState {
   int64_t first_index;         // insertion order
 };
 
+// Aggregates without GROUP BY. There is one implicit group, so no key is
+// encoded or hashed: each item runs column-at-a-time over the selection.
+// A bare column yields the first selected row's value; min and max over
+// only NULLs yield 0. An empty selection still yields one row, every item
+// 0 (count = 0).
+void AggregateWithoutGroups(const std::vector<AggSpec>& specs, const Rel& rel,
+                            const std::vector<int64_t>& selection,
+                            ResultSet* out) {
+  for (size_t c = 0; c < specs.size(); ++c) {
+    const AggSpec& spec = specs[c];
+    OwnedColumn& col = out->columns[c];
+    if (selection.empty()) {
+      col.ints.push_back(0);
+      continue;
+    }
+    if (spec.kind == AggSpec::Kind::kNone) {
+      if (col.is_string) {
+        col.strings.emplace_back(rel.GetString(spec.col, selection.front()));
+      } else {
+        col.ints.push_back(rel.GetInt(spec.col, selection.front()));
+      }
+      continue;
+    }
+    if (spec.kind == AggSpec::Kind::kCountStar) {
+      col.ints.push_back(static_cast<int64_t>(selection.size()));
+      continue;
+    }
+    int64_t count = 0;  // non-NULL values seen
+    int64_t acc = 0;
+    for (int64_t row : selection) {
+      if (rel.IsNull(spec.col, row)) continue;
+      if (spec.kind != AggSpec::Kind::kCount) {
+        const int64_t v = rel.GetInt(spec.col, row);
+        if (spec.kind == AggSpec::Kind::kSum) {
+          acc += v;
+        } else if (count == 0) {
+          acc = v;
+        } else {
+          acc = spec.kind == AggSpec::Kind::kMin ? std::min(acc, v)
+                                                 : std::max(acc, v);
+        }
+      }
+      ++count;
+    }
+    col.ints.push_back(spec.kind == AggSpec::Kind::kCount ? count : acc);
+  }
+}
+
 Result<ResultSet> AggregateOrProject(const SelectStmt& stmt, const Rel& rel,
                                      const std::vector<int64_t>& selection) {
   // Resolve grouping columns.
@@ -520,7 +580,12 @@ Result<ResultSet> AggregateOrProject(const SelectStmt& stmt, const Rel& rel,
     return out;
   }
 
-  // Hash aggregation (one implicit group when GROUP BY is absent).
+  if (stmt.group_by.empty()) {
+    AggregateWithoutGroups(specs, rel, selection, &out);
+    return out;
+  }
+
+  // Hash aggregation over the GROUP BY key.
   std::unordered_map<std::string, GroupState> groups;
   std::string key;
   for (int64_t row : selection) {
@@ -565,14 +630,6 @@ Result<ResultSet> AggregateOrProject(const SelectStmt& stmt, const Rel& rel,
           break;
       }
     }
-  }
-
-  if (groups.empty() && stmt.group_by.empty()) {
-    // Aggregates over an empty input still yield one row (count = 0).
-    for (size_t c = 0; c < specs.size(); ++c) {
-      out.columns[c].ints.push_back(0);
-    }
-    return out;
   }
 
   // Emit groups in first-seen order (deterministic output).

@@ -3,6 +3,7 @@
 #include <cstdlib>
 
 #include "db/cost_model.h"
+#include "hw/pu_kernel.h"
 #include "sql/executor.h"
 #include "workload/address_generator.h"
 #include "workload/queries.h"
@@ -37,6 +38,23 @@ TableStats TinyTable() {
   return stats;
 }
 
+// The compiled objects the predictions read, built the way a query builds
+// them: the ProgramCache's program, PlanHybrid's plan.
+std::shared_ptr<const CompiledPuProgram> HostProgram(
+    const std::string& pattern) {
+  auto config = CompileRegexConfig(pattern, DeviceConfig{});
+  EXPECT_TRUE(config.ok()) << pattern << ": " << config.status().ToString();
+  auto program = CompiledPuProgram::Compile(config->vector, DeviceConfig{});
+  EXPECT_TRUE(program.ok()) << pattern;
+  return *program;
+}
+
+HybridPlan Plan(const std::string& pattern) {
+  auto plan = PlanHybrid(pattern, DeviceConfig{});
+  EXPECT_TRUE(plan.ok()) << pattern << ": " << plan.status().ToString();
+  return std::move(*plan);
+}
+
 TEST(CostModelTest, MeasureProducesSaneNumbers) {
   auto cal = OperatorCostModel::Measure();
   EXPECT_GT(cal.like_bytes_per_sec, 1e7);
@@ -52,10 +70,12 @@ TEST(CostModelTest, HostProgramPredictionTracksRegistryChoice) {
 
   // Word-sized automaton chain and a literal: both SIMD-served, costed
   // at the SIMD throughput.
-  auto word = model.PredictHostProgram("8[0-9][0-9][0-9][0-9]", BigTable());
+  auto word =
+      model.PredictHostProgram(*HostProgram("8[0-9][0-9][0-9][0-9]"),
+                               BigTable());
   ASSERT_TRUE(word.ok());
   EXPECT_EQ(word->backend, BackendId::kCpuSimd);
-  auto literal = model.PredictHostProgram("Strasse", BigTable());
+  auto literal = model.PredictHostProgram(*HostProgram("Strasse"), BigTable());
   ASSERT_TRUE(literal.ok());
   EXPECT_EQ(literal->backend, BackendId::kCpuSimd);
   const double simd_expect = static_cast<double>(BigTable().heap_bytes) /
@@ -63,27 +83,29 @@ TEST(CostModelTest, HostProgramPredictionTracksRegistryChoice) {
   EXPECT_DOUBLE_EQ(word->seconds, simd_expect);
 
   // Broad-start fan-out: scalar backend, automaton throughput.
-  auto broad = model.PredictHostProgram("([a-z]a|[0-9]b)", BigTable());
+  auto broad =
+      model.PredictHostProgram(*HostProgram("([a-z]a|[0-9]b)"), BigTable());
   ASSERT_TRUE(broad.ok());
   EXPECT_EQ(broad->backend, BackendId::kCpuScalar);
   EXPECT_GT(broad->seconds, word->seconds);
 
   // Over-capacity patterns cannot run as a compiled program at all.
   auto oversized =
-      model.PredictHostProgram(QueryPattern(EvalQuery::kQH), BigTable());
+      CompileRegexConfig(QueryPattern(EvalQuery::kQH), DeviceConfig{});
   EXPECT_TRUE(oversized.status().IsCapacityExceeded());
 }
 
 TEST(CostModelTest, ForcedBackendOverridesHostPrediction) {
   OperatorCostModel model(DeviceConfig{}, FixedCalibration());
   setenv("DOPPIO_FORCE_BACKEND", "scalar", 1);
-  auto forced_scalar = model.PredictHostProgram("Strasse", BigTable());
+  auto forced_scalar =
+      model.PredictHostProgram(*HostProgram("Strasse"), BigTable());
   ASSERT_TRUE(forced_scalar.ok());
   EXPECT_EQ(forced_scalar->backend, BackendId::kCpuScalar);
 
   setenv("DOPPIO_FORCE_BACKEND", "simd", 1);
   auto forced_simd =
-      model.PredictHostProgram("([a-z]a|[0-9]b)", BigTable());
+      model.PredictHostProgram(*HostProgram("([a-z]a|[0-9]b)"), BigTable());
   ASSERT_TRUE(forced_simd.ok());
   EXPECT_EQ(forced_simd->backend, BackendId::kCpuSimd);
   unsetenv("DOPPIO_FORCE_BACKEND");
@@ -94,21 +116,20 @@ TEST(CostModelTest, PredictionsScaleWithData) {
   EXPECT_GT(model.PredictLike(BigTable()), model.PredictLike(TinyTable()));
   EXPECT_GT(model.PredictRegexpLike(BigTable()),
             model.PredictRegexpLike(TinyTable()));
-  auto fpga_big = model.PredictFpga("Strasse", BigTable());
-  auto fpga_tiny = model.PredictFpga("Strasse", TinyTable());
-  ASSERT_TRUE(fpga_big.ok());
-  ASSERT_TRUE(fpga_tiny.ok());
-  EXPECT_GT(*fpga_big, *fpga_tiny);
+  auto config = CompileRegexConfig("Strasse", DeviceConfig{});
+  ASSERT_TRUE(config.ok());
+  EXPECT_GT(model.PredictFpga(*config, BigTable()),
+            model.PredictFpga(*config, TinyTable()));
 }
 
 TEST(CostModelTest, FpgaPredictionRejectsOversizedPatterns) {
   OperatorCostModel model(DeviceConfig{}, FixedCalibration());
-  auto r = model.PredictFpga(QueryPattern(EvalQuery::kQH), BigTable());
+  auto r = CompileRegexConfig(QueryPattern(EvalQuery::kQH), DeviceConfig{});
   EXPECT_TRUE(r.status().IsCapacityExceeded());
   // ... but the hybrid prediction still works.
-  auto h = model.PredictHybrid(QueryPattern(EvalQuery::kQH), BigTable());
-  ASSERT_TRUE(h.ok());
-  EXPECT_GT(*h, 0.0);
+  HybridPlan plan = Plan(QueryPattern(EvalQuery::kQH));
+  EXPECT_EQ(plan.strategy, HybridStrategy::kHybrid);
+  EXPECT_GT(model.PredictHybrid(plan, BigTable()), 0.0);
 }
 
 TEST(CostModelTest, ChoosesFpgaForComplexPatternsOnBigTables) {
@@ -116,7 +137,8 @@ TEST(CostModelTest, ChoosesFpgaForComplexPatternsOnBigTables) {
   StringFilterSpec spec;
   spec.op = StringFilterSpec::Op::kAuto;
   spec.pattern = QueryPattern(EvalQuery::kQ2);
-  auto choice = model.Choose(spec, BigTable(), /*fpga_available=*/true);
+  HybridPlan plan = Plan(spec.pattern);
+  auto choice = model.Choose(spec, BigTable(), &plan);
   EXPECT_EQ(choice.op, StringFilterSpec::Op::kRegexpFpga);
   EXPECT_LT(choice.predicted_seconds,
             model.PredictRegexpLike(BigTable()));
@@ -127,7 +149,7 @@ TEST(CostModelTest, ChoosesSoftwareWithoutFpga) {
   StringFilterSpec spec;
   spec.op = StringFilterSpec::Op::kAuto;
   spec.pattern = QueryPattern(EvalQuery::kQ2);
-  auto choice = model.Choose(spec, BigTable(), /*fpga_available=*/false);
+  auto choice = model.Choose(spec, BigTable(), /*plan=*/nullptr);
   EXPECT_EQ(choice.op, StringFilterSpec::Op::kRegexpLike);
 }
 
@@ -136,13 +158,13 @@ TEST(CostModelTest, SubstringRegexCanTakeTheLikeFastPath) {
   StringFilterSpec spec;
   spec.op = StringFilterSpec::Op::kAuto;
   spec.pattern = "Strasse";  // regex dialect, but a pure substring
-  auto choice = model.Choose(spec, BigTable(), /*fpga_available=*/false);
+  auto choice = model.Choose(spec, BigTable(), /*plan=*/nullptr);
   EXPECT_EQ(choice.op, StringFilterSpec::Op::kLike);
   EXPECT_EQ(choice.rewritten_pattern, "%Strasse%");
 
   // Multi-substring with '.*' glue.
   spec.pattern = "Alan.*Turing";
-  choice = model.Choose(spec, BigTable(), false);
+  choice = model.Choose(spec, BigTable(), nullptr);
   EXPECT_EQ(choice.op, StringFilterSpec::Op::kLike);
   EXPECT_EQ(choice.rewritten_pattern, "%Alan%Turing%");
 }
@@ -152,7 +174,8 @@ TEST(CostModelTest, OversizedPatternFallsToHybrid) {
   StringFilterSpec spec;
   spec.op = StringFilterSpec::Op::kAuto;
   spec.pattern = QueryPattern(EvalQuery::kQH);
-  auto choice = model.Choose(spec, BigTable(), /*fpga_available=*/true);
+  HybridPlan plan = Plan(spec.pattern);
+  auto choice = model.Choose(spec, BigTable(), &plan);
   EXPECT_EQ(choice.op, StringFilterSpec::Op::kHybrid);
 }
 

@@ -5,6 +5,7 @@
 
 #include "db/column_store.h"
 #include "db/udf.h"
+#include "hal/hal.h"
 #include "workload/address_generator.h"
 #include "workload/queries.h"
 
@@ -198,6 +199,90 @@ TEST_F(ColumnStoreTest, ConcurrentAppendAndScanNeverRace) {
   ASSERT_TRUE(bits.ok());
   EXPECT_EQ(static_cast<int64_t>(bits->size()), strings_->count());
   EXPECT_EQ(bits->back(), 1);  // the appended row matches %Strasse%
+}
+
+// The HUDF result -> selection conversion, shared by resident and
+// segmented scans.
+class FpgaSelectionTest : public ::testing::Test {
+ protected:
+  FpgaSelectionTest() : hal_(HalOptions()), engine_(EngineOptions(&hal_)) {}
+
+  static Hal::Options HalOptions() {
+    Hal::Options options;
+    options.shared_memory_bytes = 64 * kSharedPageBytes;
+    options.functional_threads = 1;
+    return options;
+  }
+  static ColumnStoreEngine::Options EngineOptions(Hal* hal) {
+    ColumnStoreEngine::Options options;
+    options.num_threads = 2;
+    options.sequential_pipe = true;
+    options.hal = hal;
+    options.segment_target_bytes = 16 * 1024;
+    return options;
+  }
+
+  Hal hal_;
+  ColumnStoreEngine engine_;
+};
+
+TEST_F(FpgaSelectionTest, ZeroRowResultsSelectNothing) {
+  StringFilterSpec spec;
+  spec.op = StringFilterSpec::Op::kRegexpFpga;
+  spec.pattern = "Strasse";
+  Bat empty(ValueType::kString, hal_.bat_allocator());
+  QueryStats stats;
+  auto resident = engine_.EvalStringFilter(empty, spec, &stats);
+  ASSERT_TRUE(resident.ok()) << resident.status().ToString();
+  EXPECT_TRUE(resident->empty());
+  EXPECT_EQ(stats.rows_matched, 0);
+
+  ASSERT_TRUE(engine_.CreateSegmentedColumn("t", "empty").ok());
+  auto segmented = engine_.EvalSegmentedFilter("t", "empty", spec, nullptr);
+  ASSERT_TRUE(segmented.ok()) << segmented.status().ToString();
+  EXPECT_TRUE(segmented->empty());
+}
+
+TEST_F(FpgaSelectionTest, NegatedFpgaAgreesOnResidentAndSegmented) {
+  AddressDataOptions data;
+  data.num_records = 3'000;
+  data.selectivity = 0.3;
+  auto table = GenerateAddressTable(data, "t", hal_.bat_allocator());
+  ASSERT_TRUE(table.ok());
+  const Bat* resident = (*table)->GetColumn("address_string");
+  std::vector<std::string> rows;
+  for (int64_t i = 0; i < resident->count(); ++i) {
+    rows.emplace_back(resident->GetString(i));
+  }
+  ASSERT_TRUE(engine_.CreateSegmentedColumn("t", "addr").ok());
+  ASSERT_TRUE(engine_.AppendToSegmented("t", "addr", rows, true).ok());
+
+  StringFilterSpec spec;
+  spec.op = StringFilterSpec::Op::kRegexpFpga;
+  spec.pattern = QueryPattern(EvalQuery::kQ2);
+  auto plain = engine_.EvalStringFilter(*resident, spec, nullptr);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  spec.negated = true;
+  QueryStats resident_stats;
+  auto negated = engine_.EvalStringFilter(*resident, spec, &resident_stats);
+  ASSERT_TRUE(negated.ok()) << negated.status().ToString();
+  QueryStats segmented_stats;
+  auto streamed =
+      engine_.EvalSegmentedFilter("t", "addr", spec, &segmented_stats);
+  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+
+  ASSERT_EQ(negated->size(), rows.size());
+  ASSERT_EQ(streamed->size(), rows.size());
+  int64_t selected = 0;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ((*negated)[i], (*streamed)[i]) << "row " << i;
+    EXPECT_EQ((*negated)[i], 1 - (*plain)[i]) << "row " << i;
+    selected += (*negated)[i];
+  }
+  EXPECT_GT(selected, 0);
+  EXPECT_LT(selected, static_cast<int64_t>(rows.size()));
+  EXPECT_EQ(resident_stats.rows_matched, selected);
+  EXPECT_EQ(segmented_stats.rows_matched, selected);
 }
 
 TEST(UdfRegistryTest, RegisterAndLookup) {

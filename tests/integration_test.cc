@@ -6,6 +6,7 @@
 
 #include "db/column_store.h"
 #include "hal/hal.h"
+#include "obs/metrics.h"
 #include "sql/executor.h"
 #include "workload/address_generator.h"
 #include "workload/queries.h"
@@ -62,6 +63,56 @@ TEST_F(IntegrationTest, FpgaAndSoftwareAgreeOnEveryQuery) {
     EXPECT_EQ(sw, hw) << QueryName(q);
     EXPECT_GT(sw, 0) << QueryName(q);
   }
+}
+
+int64_t ConfigCompiles() {
+  return obs::MetricsRegistry::Global()
+      .GetCounter("doppio.regex.config_compiles")
+      ->Value();
+}
+
+// Each statement compiles its pattern once: the cost model and the hybrid
+// executor read the plan. An over-capacity pattern compiles twice — the
+// full attempt that fails, then the prefix that fits.
+TEST_F(IntegrationTest, EachStatementCompilesItsPatternOnce) {
+  (void)engine_->cost_model();  // calibrate outside the measured window
+  auto compiles_of = [&](const std::string& sql_text) {
+    const int64_t before = ConfigCompiles();
+    Scalar(sql_text);
+    return ConfigCompiles() - before;
+  };
+  for (EvalQuery q : {EvalQuery::kQ1, EvalQuery::kQ2, EvalQuery::kQ3,
+                      EvalQuery::kQ4}) {
+    EXPECT_EQ(compiles_of(QuerySql(q, QueryEngineVariant::kFpga)), 1)
+        << QueryName(q);
+  }
+  const std::string where = " FROM address_table WHERE ";
+  EXPECT_EQ(compiles_of("SELECT count(*)" + where + "REGEXP_AUTO('" +
+                        QueryPattern(EvalQuery::kQ3) +
+                        "', address_string) <> 0;"),
+            1);
+  EXPECT_EQ(compiles_of(QuerySql(EvalQuery::kQH, QueryEngineVariant::kHybrid)),
+            2);
+  EXPECT_EQ(compiles_of("SELECT count(*)" + where + "REGEXP_AUTO('" +
+                        QueryPattern(EvalQuery::kQH) +
+                        "', address_string) <> 0;"),
+            2);
+}
+
+// An escaped '$' is a literal: the planned prefix runs on the device
+// instead of re-parsing as an anchor and degrading to a software scan.
+TEST_F(IntegrationTest, EscapedDollarKeepsTheHybridOnTheDevice) {
+  const std::string pattern = R"([0-9]+\$.*(shipping|delivery|handling))";
+  QueryStats stats;
+  const int64_t hybrid = Scalar(
+      "SELECT count(*) FROM address_table WHERE REGEXP_HYBRID('" + pattern +
+          "', address_string) <> 0;",
+      &stats);
+  EXPECT_EQ(stats.strategy, "hybrid");
+  EXPECT_GT(stats.hw_seconds, 0.0);
+  EXPECT_EQ(hybrid, Scalar("SELECT count(*) FROM address_table WHERE "
+                           "REGEXP_LIKE(address_string, '" +
+                           pattern + "');"));
 }
 
 TEST_F(IntegrationTest, FpgaPathReportsHardwarePhases) {

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/random.h"
 #include "db/hudf.h"
 #include "hal/hal.h"
 #include "hw/config_compiler.h"
@@ -16,8 +17,10 @@
 #include "regex/backtrack_matcher.h"
 #include "regex/dfa_matcher.h"
 #include "regex/nfa_matcher.h"
+#include "regex/pattern_parser.h"
 #include "regex/token_extractor.h"
 #include "regex/token_nfa.h"
+#include "workload/queries.h"
 
 namespace doppio {
 namespace {
@@ -317,6 +320,134 @@ TEST_P(ConformanceTest, DevicePoolShardingAgreesWhenMappable) {
 
 INSTANTIATE_TEST_SUITE_P(Dialect, ConformanceTest,
                          ::testing::ValuesIn(kCases));
+
+// The compiler corpus: every conformance pattern, the evaluation queries,
+// classes whose runs end at byte 255, and fixed-seed batches from the
+// fuzz suite's generators (meta-heavy, extractor-shaped and printable).
+std::vector<std::string> CompilerCorpus() {
+  std::vector<std::string> patterns;
+  for (const Conformance& c : kCases) patterns.emplace_back(c.pattern);
+  for (EvalQuery q : {EvalQuery::kQ1, EvalQuery::kQ2, EvalQuery::kQ3,
+                      EvalQuery::kQ4, EvalQuery::kQH}) {
+    patterns.push_back(QueryPattern(q));
+  }
+  for (const char* p :
+       {"[^a-z]x", "(ab|[^0-9])*c", "x[^\x01]", "[\xfe-\xff]a",
+        "[0-9]+\\$.*(shipping|delivery|handling)", "\\^a.*b\\$",
+        "(Blue|Gray)[a-z]{2,3}\\:"}) {
+    patterns.emplace_back(p);
+  }
+  Rng rng(20261017);
+  const std::string meta = R"(()[]{}|*+?.\-^$09azAZ)";
+  const std::string shaped = "ab(|)*+?.[]-09{}";
+  for (int i = 0; i < 600; ++i) {
+    patterns.push_back(rng.FromAlphabet(meta, rng.NextBounded(16)));
+    patterns.push_back(rng.FromAlphabet(shaped, rng.NextBounded(14)));
+    std::string printable;
+    const size_t len = rng.NextBounded(24);
+    for (size_t k = 0; k < len; ++k) {
+      printable.push_back(static_cast<char>(rng.NextBounded(96) + 32));
+    }
+    patterns.push_back(std::move(printable));
+  }
+  return patterns;
+}
+
+// ProgramCache and ResultCache key on config-vector bytes, so the compiler
+// must keep emitting exactly these bytes. One FNV-1a digest covers the
+// bytes (or the status code) of every corpus pattern, case-sensitive and
+// case-insensitive, under the default geometry and a host geometry.
+TEST(ConfigBytesTest, CompiledBytesMatchThePinnedDigest) {
+  DeviceConfig host;
+  host.max_chars = 256;
+  host.max_states = 64;
+  uint64_t digest = 14695981039346656037ull;
+  auto mix = [&](uint8_t byte) {
+    digest = (digest ^ byte) * 1099511628211ull;
+  };
+  int compiled = 0;
+  for (const std::string& pattern : CompilerCorpus()) {
+    for (const DeviceConfig& device : {DeviceConfig{}, host}) {
+      for (bool fold : {false, true}) {
+        CompileOptions options;
+        options.case_insensitive = fold;
+        auto config = CompileRegexConfig(pattern, device, options);
+        if (config.ok()) {
+          ++compiled;
+          mix(1);
+          for (uint8_t b : config->vector.bytes()) mix(b);
+        } else {
+          mix(0);
+          mix(static_cast<uint8_t>(config.status().code()));
+        }
+      }
+    }
+  }
+  EXPECT_GT(compiled, 1000);
+  EXPECT_EQ(digest, 0xeb7ac07d374378f1ull);
+}
+
+TEST(ConfigBytesTest, RunEndingAtByte255KeepsItsHighBound) {
+  auto config = CompileRegexConfig("[^a-z]x", DeviceConfig{});
+  ASSERT_TRUE(config.ok()) << config.status().ToString();
+  const CharSpec& spec = config->nfa.tokens.at(0).chain.at(0);
+  ASSERT_EQ(spec.ranges.size(), 2u);
+  EXPECT_EQ(spec.ranges[0].lo, 0x00);
+  EXPECT_EQ(spec.ranges[0].hi, 'a' - 1);
+  EXPECT_EQ(spec.ranges[1].lo, 'z' + 1);
+  EXPECT_EQ(spec.ranges[1].hi, 0xff);
+}
+
+// Rendering an AST and compiling the text (what the gated hybrid offload
+// and the LIKE translator do) must compile to the AST's own program.
+void ExpectRoundTripCompiles(const AstNode& ast, const std::string& origin) {
+  DeviceConfig host;
+  host.max_chars = 256;
+  host.max_states = 64;
+  const std::string rendered = ast.ToString();
+  for (const DeviceConfig& device : {DeviceConfig{}, host}) {
+    auto direct = CompileRegexConfig(ast, device);
+    auto reparsed = CompileRegexConfig(rendered, device);
+    ASSERT_EQ(direct.ok(), reparsed.ok())
+        << origin << " rendered as " << rendered << ": "
+        << (direct.ok() ? reparsed.status() : direct.status()).ToString();
+    if (direct.ok()) {
+      EXPECT_EQ(direct->vector.bytes(), reparsed->vector.bytes())
+          << origin << " rendered as " << rendered;
+    } else {
+      EXPECT_EQ(direct.status().code(), reparsed.status().code())
+          << origin << " rendered as " << rendered << ": "
+          << direct.status().ToString() << " vs "
+          << reparsed.status().ToString();
+    }
+  }
+}
+
+TEST(AstRenderTest, RenderedPatternsCompileToTheSameProgram) {
+  int checked = 0;
+  for (const std::string& pattern : CompilerCorpus()) {
+    auto ast = ParsePattern(pattern);
+    if (!ast.ok()) continue;
+    ++checked;
+    ExpectRoundTripCompiles(**ast, pattern);
+  }
+  EXPECT_GT(checked, 500);
+}
+
+TEST(AstRenderTest, LiteralMetacharactersRenderEscaped) {
+  const std::string meta = R"(.*+?()[]{}|\:^$-)";
+  for (char c : meta) {
+    const std::string text(1, c);
+    ExpectRoundTripCompiles(*AstNode::Literal("a" + text), "a" + text);
+    ExpectRoundTripCompiles(*AstNode::Literal(text + "a"), text + "a");
+    std::vector<AstNodePtr> parts;
+    parts.push_back(AstNode::Class(CharSet::Range('0', '9')));
+    parts.push_back(AstNode::Literal(text));
+    ExpectRoundTripCompiles(*AstNode::Concat(std::move(parts)),
+                            "[0-9] then " + text);
+  }
+  ExpectRoundTripCompiles(*AstNode::Literal("x" + meta + "y"), meta);
+}
 
 }  // namespace
 }  // namespace doppio

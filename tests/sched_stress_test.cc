@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
 #include <memory>
 #include <string>
 #include <thread>
@@ -389,13 +390,25 @@ TEST(SchedStressTest, SetCompiledWavesUnderConcurrency) {
 
   std::atomic<int> completed{0};
   std::atomic<int> failures{0};
+  // Every thread queues its first query before any thread waits, so the
+  // first wave holds several distinct patterns over the shared column
+  // whatever the thread timing; the rest of the run interleaves freely.
+  std::latch first_round(kThreads);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kQueriesPerThread; ++i) {
         const int p = (t + i) % 4;
         Result<sched::ScheduledResult> result = Status::Internal("unset");
-        for (int attempt = 0; attempt < 100; ++attempt) {
+        if (i == 0) {
+          auto ticket = scheduler.Submit(sessions[static_cast<size_t>(t)],
+                                         input, kPatterns[p]);
+          first_round.arrive_and_wait();
+          result = ticket.ok() ? scheduler.Wait(*ticket)
+                               : Result<sched::ScheduledResult>(
+                                     ticket.status());
+        }
+        for (int attempt = 0; i > 0 && attempt < 100; ++attempt) {
           result = scheduler.Execute(sessions[static_cast<size_t>(t)], input,
                                      kPatterns[p]);
           if (!result.ok() && result.status().IsOverloaded()) {

@@ -485,6 +485,36 @@ TEST(RoutingTest, SmallInputsRouteToCpuBitIdentically) {
   ExpectSameColumn(expected, *result->hudf.result);
 }
 
+// Routing predictions read the program the ProgramCache holds: once the
+// pattern is cached, admission compiles nothing.
+TEST(RoutingTest, ProgramCacheHitSubmitCompilesNothing) {
+  Hal hal(TestHal());
+  Bat input(ValueType::kString, hal.bat_allocator());
+  FillInput(&input, 512);
+
+  QueryScheduler::Options options;
+  options.cost_routing = true;
+  options.cpu_route_max_rows = 64;  // 512 rows: the cost model decides
+  QueryScheduler scheduler(&hal, options);
+  Session* session = scheduler.CreateSession();
+  obs::Counter* compiles = obs::MetricsRegistry::Global().GetCounter(
+      "doppio.regex.config_compiles");
+
+  int64_t before = compiles->Value();
+  auto cold = scheduler.Execute(session, input, "Strasse");
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  EXPECT_EQ(compiles->Value() - before, 1);  // the cache miss
+
+  before = compiles->Value();
+  auto ticket = scheduler.Submit(session, input, "Strasse");
+  ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+  EXPECT_EQ(compiles->Value() - before, 0);
+  auto warm = scheduler.Wait(*ticket);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  EXPECT_EQ(warm->route, cold->route);
+  EXPECT_EQ(compiles->Value() - before, 0);
+}
+
 TEST(RoutingTest, OverflowPatternsRouteToCpuDfa) {
   Hal::Options hal_options = TestHal();
   hal_options.device.max_chars = 4;  // "Strasse" (7 matchers) cannot fit

@@ -468,11 +468,13 @@ TEST(KernelBackendTest, HostSliceMatchesAcrossForcedBackends) {
   }
   DeviceConfig device;
   const std::string pattern = "(Strasse|Str\\.).*(8[0-9][0-9][0-9][0-9])";
+  auto config = CompileRegexConfig(pattern, device);
+  ASSERT_TRUE(config.ok()) << config.status().ToString();
 
   std::vector<int16_t> reference;
   for (const char* backend : {"scalar", "simd"}) {
     ScopedEnv env("DOPPIO_FORCE_BACKEND", backend);
-    auto result = RegexpHost(device, input, pattern);
+    auto result = RegexpHost(device, input, *config);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_EQ(result->stats.strategy,
               std::string("host-cpu-") + backend);

@@ -134,6 +134,48 @@ TEST_F(SqlExecutorTest, EmptyResultAggregates) {
   EXPECT_EQ(Scalar("SELECT count(*) FROM people WHERE age > 100"), 0);
 }
 
+// Aggregates without GROUP BY form one implicit group.
+TEST_F(SqlExecutorTest, BareColumnBesideAggregateTakesFirstSelectedRow) {
+  auto outcome = ExecuteQuery(
+      engine_.get(), "SELECT name, count(*) AS n FROM people WHERE age = 30");
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  const ResultSet& rs = outcome->result;
+  ASSERT_EQ(rs.num_rows(), 1);
+  EXPECT_EQ(rs.columns[0].strings[0], "alice");
+  EXPECT_EQ(rs.columns[1].ints[0], 2);
+
+  outcome = ExecuteQuery(
+      engine_.get(),
+      "SELECT age, max(id) AS m FROM people WHERE name LIKE '%e%'");
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  ASSERT_EQ(outcome->result.num_rows(), 1);
+  EXPECT_EQ(outcome->result.columns[0].ints[0], 30);  // alice
+  EXPECT_EQ(outcome->result.columns[1].ints[0], 4);   // eve
+}
+
+TEST_F(SqlExecutorTest, AggregatesOverAllRowsAndNoRows) {
+  const std::string items =
+      "SELECT count(*) AS n, count(age) AS c, sum(age) AS s, "
+      "min(age) AS lo, max(age) AS hi FROM people WHERE ";
+  auto all = ExecuteQuery(engine_.get(), items + "age > 0");
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  ASSERT_EQ(all->result.num_rows(), 1);
+  std::vector<int64_t> got;
+  for (const OwnedColumn& col : all->result.columns) {
+    got.push_back(col.ints.at(0));
+  }
+  EXPECT_EQ(got, (std::vector<int64_t>{5, 5, 150, 25, 40}));
+
+  auto none = ExecuteQuery(engine_.get(), items + "age > 100");
+  ASSERT_TRUE(none.ok()) << none.status().ToString();
+  ASSERT_EQ(none->result.num_rows(), 1);
+  got.clear();
+  for (const OwnedColumn& col : none->result.columns) {
+    got.push_back(col.ints.at(0));
+  }
+  EXPECT_EQ(got, (std::vector<int64_t>{0, 0, 0, 0, 0}));
+}
+
 TEST_F(SqlExecutorTest, ErrorsSurface) {
   EXPECT_FALSE(ExecuteQuery(engine_.get(), "SELECT count(*) FROM ghost").ok());
   EXPECT_FALSE(
@@ -251,6 +293,35 @@ TEST_F(JoinTest, LeftOuterJoinWithAntiPredicate) {
   ASSERT_EQ(rs.num_rows(), 4);
   EXPECT_EQ(rs.columns[0].ints, (std::vector<int64_t>{1, 2, 3, 4}));
   EXPECT_EQ(rs.columns[1].ints, (std::vector<int64_t>{1, 0, 0, 1}));
+}
+
+// The outer join leaves o_orderkey NULL for unmatched customers; the
+// aggregates skip NULLs without a GROUP BY as they do with one.
+TEST_F(JoinTest, AggregatesWithoutGroupBySkipNulls) {
+  const std::string items =
+      "SELECT count(*) AS n, count(o_orderkey) AS c, sum(o_orderkey) AS s, "
+      "min(o_orderkey) AS lo, max(o_orderkey) AS hi FROM customer "
+      "LEFT OUTER JOIN orders ON c_custkey = o_custkey ";
+  auto values = [&](const std::string& sql_text) {
+    auto outcome = ExecuteQuery(engine_.get(), sql_text);
+    EXPECT_TRUE(outcome.ok()) << sql_text << ": "
+                              << outcome.status().ToString();
+    std::vector<int64_t> out;
+    if (!outcome.ok()) return out;
+    EXPECT_EQ(outcome->result.num_rows(), 1);
+    for (const OwnedColumn& col : outcome->result.columns) {
+      out.push_back(col.ints.at(0));
+    }
+    return out;
+  };
+  // Customer 3 has no order: five joined rows, four order keys.
+  EXPECT_EQ(values(items), (std::vector<int64_t>{5, 4, 10, 1, 4}));
+  // Without the special orders, customers 2 and 3 join NULL.
+  EXPECT_EQ(values(items + "AND o_comment NOT LIKE '%special%requests%'"),
+            (std::vector<int64_t>{4, 2, 5, 1, 4}));
+  // Only NULLs: count 0, and sum, min and max read 0.
+  EXPECT_EQ(values(items + "WHERE c_custkey = 3"),
+            (std::vector<int64_t>{1, 0, 0, 0, 0}));
 }
 
 TEST_F(JoinTest, InnerJoinDropsUnmatched) {
