@@ -330,8 +330,8 @@ Result<std::vector<uint8_t>> ColumnStoreEngine::EvalFpga(
   QueryStats local;
   Status hw_status = Status::OK();
   if (spec.op == StringFilterSpec::Op::kHybrid) {
-    Result<HybridResult> hybrid = ExecuteHybrid(
-        options_.hal, column, *plan, /*gate=*/nullptr, options_.result_cache);
+    Result<HybridResult> hybrid =
+        ExecuteHybrid(options_.hal, column, *plan, options_.result_cache);
     if (hybrid.ok()) {
       result = std::move(hybrid->result);
       local = hybrid->stats;
@@ -565,11 +565,7 @@ Result<std::vector<uint8_t>> ColumnStoreEngine::EvalSegmentedFilter(
   // visibility), so a concurrent AppendToSegmented cannot perturb it.
   const SegmentSnapshot snapshot = col->Snapshot();
   StreamOptions sopts;
-  if (options_.result_cache != nullptr) {
-    sopts.result_cache = options_.result_cache;
-    const std::vector<uint8_t>& fp = config.vector.bytes();
-    sopts.fingerprint.assign(fp.begin(), fp.end());
-  }
+  sopts.result_cache = options_.result_cache;
   DOPPIO_ASSIGN_OR_RETURN(
       HudfResult hw,
       RegexpFpgaStreamed(options_.hal, pager(), snapshot, config, sopts));

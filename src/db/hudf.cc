@@ -13,6 +13,7 @@
 #include "obs/metrics.h"
 #include "obs/tracer.h"
 #include "regex/dfa_matcher.h"
+#include "sched/result_cache.h"
 
 namespace doppio {
 
@@ -48,12 +49,28 @@ obs::JobTraceRecord MakeJobRecord(obs::TraceId trace,
   return record;
 }
 
+/// Result-cache key of a program: its config-vector bytes (the same
+/// identity sched::ProgramCache uses).
+std::string_view FingerprintOf(const RegexConfig& config) {
+  const std::vector<uint8_t>& bytes = config.vector.bytes();
+  return {reinterpret_cast<const char*>(bytes.data()), bytes.size()};
+}
+
+/// Rows [first, first + rows) of a kInt16 result, as a cache block.
+std::vector<uint16_t> BlockValues(const Bat& result, int64_t first,
+                                  int64_t rows) {
+  const uint16_t* values =
+      reinterpret_cast<const uint16_t*>(result.tail_data()) + first;
+  return std::vector<uint16_t>(values, values + rows);
+}
+
 /// One device or host slice of a plan on its way through the executor.
 struct SliceRun {
   size_t query = 0;  // index into the plan's queries
   JobParams params;  // kept alive across resubmissions
   FpgaJob job;       // invalid when the submit degraded or once awaited
   JobOutcome outcome;
+  const uint16_t* mask = nullptr;  // host runs: candidate mask, or null
   bool device = false;   // planned as a device job
   bool on_host = false;  // a planned host run, or a device job degraded
   int owner = -1;        // device currently owning a device slice
@@ -199,10 +216,27 @@ Result<HudfResult> RegexpHost(const DeviceConfig& device, const Bat& input,
   const KernelBackend& backend =
       BackendRegistry::Global().ChooseHost(*query.program);
   query.route = std::string("host-") + BackendName(backend.id());
-  query.slices.push_back({SliceSource::kHost, 0, input.count()});
+  query.slices.push_back({SliceSource::kHost, 0, input.count(), nullptr});
   DOPPIO_RETURN_NOT_OK(ExecuteScanPlan(&plan));
   out.stats = std::move(query.stats);
   return out;
+}
+
+CacheHit ResolveCached(sched::ResultCache* cache, const RegexConfig& program,
+                       ColumnSnapshot column, int64_t rows,
+                       CacheProbe probe) {
+  CacheHit hit;
+  if (cache == nullptr) return hit;
+  const std::string_view fingerprint = FingerprintOf(program);
+  if (probe.exact) {
+    hit.block = cache->Get(fingerprint, column.id, column.version, rows,
+                           probe.count_miss);
+    hit.exact = hit.block != nullptr;
+  }
+  if (hit.block == nullptr && probe.prefix) {
+    hit.block = cache->GetPrefix(fingerprint, column.id, rows);
+  }
+  return hit;
 }
 
 Result<std::unique_ptr<Bat>> ZeroedInt16Bat(int64_t count,
@@ -231,7 +265,23 @@ void ScanQuery::AddDeviceSlices(int64_t first, int64_t limit,
   const int64_t parts = std::clamp<int64_t>(partitions, 1, span);
   const int64_t chunk = (span + parts - 1) / parts;
   for (int64_t row = first; row < limit; row += chunk) {
-    slices.push_back({SliceSource::kDevice, row, std::min(chunk, limit - row)});
+    slices.push_back(
+        {SliceSource::kDevice, row, std::min(chunk, limit - row), nullptr});
+  }
+}
+
+void ScanQuery::AddSlices(const CacheHit& hit, int64_t first, int64_t limit,
+                          SliceSource source, int partitions) {
+  int64_t covered = 0;
+  if (hit.block != nullptr) {
+    covered = std::min(hit.block->rows(), limit - first);
+    slices.push_back({SliceSource::kCached, first, covered, hit.block});
+  }
+  if (source == SliceSource::kDevice) {
+    AddDeviceSlices(first + covered, limit, partitions);
+  } else if (first + covered < limit) {
+    slices.push_back(
+        {source, first + covered, limit - first - covered, nullptr});
   }
 }
 
@@ -274,15 +324,25 @@ Status ExecuteScanPlan(ScanPlan* plan) {
     const uint32_t* offsets = reinterpret_cast<const uint32_t*>(q.offsets);
     for (const ScanSlice& slice : q.slices) {
       if (slice.rows <= 0) continue;
-      q.stats.rows_scanned += slice.rows;
-      // Cached blocks hold one value per row; device slices need a HAL.
-      DOPPIO_CHECK(slice.source != SliceSource::kCached || q.streams == 1);
+      // A block holds one value per row and serves a kCached slice or
+      // masks a kHost one; device slices need a HAL.
+      DOPPIO_CHECK(slice.block != nullptr
+                       ? q.streams == 1 && slice.source != SliceSource::kDevice
+                       : slice.source != SliceSource::kCached);
       DOPPIO_CHECK(slice.source != SliceSource::kDevice || pool != nullptr);
+      if (slice.block != nullptr && slice.block->rows() != slice.rows) {
+        // Never serve (or mask) rows the block does not hold.
+        return fail(Status::Internal("cached block does not cover its slice"));
+      }
       if (slice.source == SliceSource::kCached) continue;
+      // A mask's zero rows are answered by the block, not scanned.
+      q.stats.rows_scanned +=
+          slice.block == nullptr ? slice.rows : slice.block->rows_matched;
       SliceRun& run = runs.emplace_back();
       run.query = qi;
       run.device = slice.source == SliceSource::kDevice;
       run.on_host = !run.device;
+      if (slice.block != nullptr) run.mask = slice.block->values.data();
       if (run.device) device_runs.push_back(&run);
       const int64_t end = slice.first_row + slice.rows;
       JobParams& params = run.params;
@@ -474,13 +534,15 @@ Status ExecuteScanPlan(ScanPlan* plan) {
       if (slice.source != SliceSource::kCached || slice.rows <= 0) continue;
       std::memcpy(q.result->mutable_tail_data() +
                       (slice.first_row + q.result_offset) * sizeof(uint16_t),
-                  slice.cached,
+                  slice.block->values.data(),
                   static_cast<size_t>(slice.rows) * sizeof(uint16_t));
-      q.stats.rows_matched += slice.cached_matches;
+      q.stats.rows_matched += slice.block->rows_matched;
       cached = true;
     }
+    bool scanned = false;
     for (SliceRun& run : runs) {
       if (run.query != qi) continue;
+      scanned = true;
       if (run.device) {
         q.stats.job_retries += run.outcome.retries;
         if (run.outcome.ok && run.outcome.fault_seen) {
@@ -493,7 +555,8 @@ Status ExecuteScanPlan(ScanPlan* plan) {
                              pool->device(run.owner)->now());
       }
       HostSliceInfo info;
-      auto matches = RunHostSlice(host_device, run.params, q.program, &info);
+      auto matches =
+          RunHostSlice(host_device, run.params, q.program, &info, run.mask);
       if (!matches.ok()) return fail(matches.status());
       q.stats.rows_matched += *matches;
       if (run.device) {
@@ -503,9 +566,13 @@ Status ExecuteScanPlan(ScanPlan* plan) {
         q.stats.pu_kernel = info.kernel;
       }
     }
-    q.stats.strategy = q.route;
-    if (q.stats.fallback_rows > 0) q.stats.strategy += "+sw_fallback";
-    if (cached) q.stats.strategy += "+cache_prefix";
+    if (cached && !scanned) {
+      q.stats.strategy = "fpga-cache";
+    } else {
+      q.stats.strategy = q.route;
+      if (q.stats.fallback_rows > 0) q.stats.strategy += "+sw_fallback";
+      if (cached) q.stats.strategy += "+cache_prefix";
+    }
     for (const ClockExtent& extent : extents[qi]) {
       if (!extent.any) continue;
       q.stats.hw_seconds = std::max(
@@ -522,6 +589,40 @@ Status ExecuteScanPlan(ScanPlan* plan) {
     Status demux = DemuxSetOutputs(q);
     if (!demux.ok()) return fail(demux);
     if (q.span_name != nullptr) tracer.EndQuery(q.trace);
+  }
+
+  // Offer each scanned query's complete result back to the cache, once
+  // every query's phases are stamped: no phase is charged for it. A set
+  // offers each demuxed stream under its member's fingerprint — it is
+  // bit-identical to a solo scan of that member. Queries served wholly
+  // from cache and timing-only runs (zeroed results) offer nothing.
+  if (plan->cache != nullptr) {
+    for (const ScanQuery& q : queries) {
+      int64_t rows = 0;
+      bool scanned = false;
+      for (const ScanSlice& slice : q.slices) {
+        rows = std::max(rows, slice.first_row + slice.rows);
+        scanned |= slice.source != SliceSource::kCached && slice.rows > 0;
+      }
+      if (!scanned || q.timing_only) continue;
+      const bool degraded = q.stats.fallback_rows > 0;
+      if (q.streams == 1) {
+        plan->cache->Put(FingerprintOf(*q.config), q.snapshot.id,
+                         q.snapshot.version,
+                         BlockValues(*q.result, q.result_offset, rows),
+                         degraded);
+        continue;
+      }
+      DOPPIO_CHECK(q.stream_fingerprints != nullptr);
+      for (int k = 0; k < q.streams; ++k) {
+        plan->cache->Put((*q.stream_fingerprints)[static_cast<size_t>(k)],
+                         q.snapshot.id, q.snapshot.version,
+                         BlockValues(*q.set_outputs[static_cast<size_t>(k)]
+                                          .result,
+                                     0, rows),
+                         degraded);
+      }
+    }
   }
   return Status::OK();
 }

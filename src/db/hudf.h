@@ -24,6 +24,11 @@
 
 namespace doppio {
 
+namespace sched {
+class ResultCache;
+struct CachedResultBlock;
+}  // namespace sched
+
 struct HudfResult {
   std::unique_ptr<Bat> result;  // kInt16, one entry per input string
   QueryStats stats;             // udf/config/hal/hw phase breakdown
@@ -39,10 +44,49 @@ struct HudfResult {
 // plans; the executor owns the one submit -> await-with-recovery ->
 // degrade-to-host -> per-clock-domain stitch -> set demux loop.
 //
+// It is also the one place the versioned result cache
+// (docs/RESULT_CACHE.md) is consulted. Callers resolve a query's cache
+// key with ResolveCached and turn the answer into slices with
+// ScanQuery::AddSlices; after the stitch the executor offers every
+// scanned query's complete result back to ScanPlan::cache.
+//
 // Host phases, on every plan: hal_seconds is building the plan (from its
 // construction to the drain), sim_host_seconds is the drain (submitting
 // and awaiting device jobs), udf_software_seconds is everything after it
-// — host runs, software fallback, cached-block copies, set demux.
+// — host runs, software fallback, cached-block copies, set demux. The
+// offer-back runs after every query's phases are stamped, so no phase
+// includes it.
+
+/// The column snapshot a cached result block is keyed on, together with
+/// the program's config-vector bytes: a resident BAT's (id(), version())
+/// as of admission, or a sealed segment's (id(), kSealedVersion).
+struct ColumnSnapshot {
+  uint64_t id = 0;
+  uint64_t version = 0;
+};
+
+/// What the result cache holds for one program over one column snapshot.
+struct CacheHit {
+  /// Null on a miss. An exact block covers every row asked for; a prefix
+  /// block, from an earlier and shorter version of the append-only
+  /// column, covers the first block->rows() of them.
+  std::shared_ptr<const sched::CachedResultBlock> block;
+  bool exact = false;
+};
+
+/// The lookups ResolveCached makes.
+struct CacheProbe {
+  bool exact = true;       // ResultCache::Get of exactly this snapshot
+  bool prefix = true;      // after an exact miss, ResultCache::GetPrefix
+  bool count_miss = true;  // an exact miss counts in ResultCache::misses()
+};
+
+/// The result-cache resolver: the block of `program` over exactly the
+/// first `rows` rows of `column`, else the largest block of an earlier,
+/// shorter version, else a miss. A null cache always misses.
+CacheHit ResolveCached(sched::ResultCache* cache, const RegexConfig& program,
+                       ColumnSnapshot column, int64_t rows,
+                       CacheProbe probe = {});
 
 enum class SliceSource {
   kDevice,  // a job on a pool device; degrades to a host run on faults
@@ -55,9 +99,10 @@ struct ScanSlice {
   /// Rows [first_row, first_row + rows) of the query's input view.
   int64_t first_row = 0;
   int64_t rows = 0;
-  /// kCached only: the block's `rows` values, and how many are nonzero.
-  const uint16_t* cached = nullptr;
-  int64_t cached_matches = 0;
+  /// kCached: the block whose values fill the slice. kHost: an optional
+  /// candidate mask; rows whose block value is 0 write 0 unmatched. A
+  /// block holds exactly the slice's `rows` values, or the plan fails.
+  std::shared_ptr<const sched::CachedResultBlock> block;
 };
 
 struct ScanQuery {
@@ -77,19 +122,27 @@ struct ScanQuery {
   std::shared_ptr<const CompiledPuProgram> program;
   /// Tagged accept streams of `config` (1..64); > 1 fills set_outputs.
   int streams = 1;
+  /// streams > 1: each stream's member fingerprint, in stream order — the
+  /// keys its demuxed columns are offered back under.
+  const std::vector<std::string>* stream_fingerprints = nullptr;
+  /// The column snapshot the result — rows [0, end of the last slice) —
+  /// is offered back to ScanPlan::cache under, keyed by `config`'s bytes.
+  ColumnSnapshot snapshot;
   bool timing_only = false;  // JobParams::timing_only for device slices
   /// Span the executor opens and closes; null = record into `trace`, a
   /// span the caller owns (0 = untraced).
   const char* span_name = nullptr;
   uint64_t trace = 0;
-  /// Strategy route ("fpga", "sched_cpu", ...). stats.strategy appends
-  /// "+sw_fallback" when a device slice degraded, then "+cache_prefix"
-  /// when a cached slice served rows.
+  /// Strategy route ("fpga", "sched_cpu", ...). stats.strategy is
+  /// "fpga-cache" for a query served wholly from cache; otherwise the
+  /// route, plus "+sw_fallback" when a device slice degraded, then
+  /// "+cache_prefix" when a cached slice served rows.
   std::string route;
   std::vector<ScanSlice> slices;
 
-  /// Outputs. rows_scanned counts every slice's rows; hw_seconds is the
-  /// max over devices of the query's per-device job extent.
+  /// Outputs. rows_scanned counts the rows actually scanned: not cached
+  /// rows, nor rows a candidate mask rules out. hw_seconds is the max
+  /// over devices of the query's per-device job extent.
   QueryStats stats;
   std::vector<HudfResult> set_outputs;
 
@@ -98,6 +151,11 @@ struct ScanQuery {
   /// Appends rows [first, limit) as `partitions` device slices of
   /// ceil(rows / partitions) rows (fewer when the rows run out).
   void AddDeviceSlices(int64_t first, int64_t limit, int partitions);
+  /// Appends rows [first, limit) for a resolved cache key: the rows
+  /// `hit`'s block covers become one kCached slice, the rest come from
+  /// `source` (`partitions` device slices, or one host slice).
+  void AddSlices(const CacheHit& hit, int64_t first, int64_t limit,
+                 SliceSource source, int partitions = 1);
 };
 
 struct ScanPlan {
@@ -107,6 +165,10 @@ struct ScanPlan {
   /// true: device slices spread over the whole pool; false: all on pool
   /// device 0 (the paper's single device).
   bool pooled = false;
+  /// Result cache every scanned query's complete, non-timing-only result
+  /// is offered back to (ResultCache::Put keeps its completeness guard).
+  /// Null: nothing is offered.
+  sched::ResultCache* cache = nullptr;
   std::vector<ScanQuery> queries;
   Stopwatch watch;  // started with the plan: hal_seconds until the drain
 };
@@ -221,18 +283,5 @@ Result<HudfResult> RunDfaScanInSoftware(const Bat& input,
 /// stats.pu_kernel the kernel that executed.
 Result<HudfResult> RegexpHost(const DeviceConfig& device, const Bat& input,
                               const RegexConfig& config);
-
-/// Admission gate the multi-tenant scheduler (src/sched) implements. When
-/// one is supplied to a db-layer executor, regex offload goes through the
-/// scheduler — session quotas, fair sharing, cross-query batching —
-/// instead of submitting straight at the device. Null gate = the paper's
-/// direct-submit path, byte-identical to before the scheduler existed.
-class RegexAdmissionGate {
- public:
-  virtual ~RegexAdmissionGate() = default;
-  virtual Result<HudfResult> ExecuteRegex(const Bat& input,
-                                          std::string_view pattern,
-                                          const CompileOptions& options) = 0;
-};
 
 }  // namespace doppio

@@ -22,10 +22,6 @@
 #include "regex/pattern_ast.h"
 
 namespace doppio {
-namespace sched {
-class ResultCache;
-}  // namespace sched
-
 enum class HybridStrategy { kFpgaOnly, kHybrid, kSoftwareOnly };
 
 /// A string predicate's pattern, compiled once. The cost model, the
@@ -34,7 +30,7 @@ enum class HybridStrategy { kFpgaOnly, kHybrid, kSoftwareOnly };
 struct HybridPlan {
   HybridStrategy strategy = HybridStrategy::kSoftwareOnly;
   /// The prefix offloaded to the FPGA (kHybrid/kFpgaOnly), rendered in the
-  /// regex dialect — what a gated offload submits.
+  /// regex dialect: a printable description of `fpga_config`.
   std::string fpga_pattern;
   /// Elements of the full pattern (always post-processed for kHybrid).
   std::string full_pattern;
@@ -65,40 +61,35 @@ struct HybridResult {
   int64_t cpu_postprocessed = 0;
 };
 
-/// Executes a plan with automatic FPGA/hybrid/software selection.
+/// Executes a plan with automatic FPGA/hybrid/software selection. FPGA
+/// scans submit straight at the device: the paper's direct-submit path.
 ///
-/// When `gate` is non-null, every FPGA offload (the kFpgaOnly pattern and
-/// the kHybrid pre-filter prefix) is admitted through it instead of being
-/// submitted straight at the device — the multi-tenant scheduler
-/// (src/sched) implements the gate with session quotas, fair sharing and
-/// cross-query batching. A null gate is the paper's direct-submit path.
-///
-/// When `cache` is non-null (docs/RESULT_CACHE.md), the executor consults
-/// the versioned match-result cache against the column's admission
-/// snapshot (id, version, row count):
+/// When `cache` is non-null (docs/RESULT_CACHE.md), the scans resolve
+/// against the versioned match-result cache through the scan executor
+/// (db/hudf.h ResolveCached), keyed on the column's snapshot (id,
+/// version, row count):
 ///  * kFpgaOnly — an exact (fingerprint, column, version) hit is served
 ///    straight from the cached block ("fpga-cache"); otherwise a cached
 ///    scan of a '.*'-cut prefix of the pattern subsumes it as a complete
 ///    candidate set, and the full program refines only candidate rows on
 ///    the host backend ("fpga+cache_prefilter", bit-identical to a full
-///    device scan by construction).
+///    device scan by construction); otherwise a block of an earlier,
+///    shorter version of the column serves its rows and only the appended
+///    tail scans ("fpga+cache_prefix").
 ///  * kHybrid — a cached prefix scan replaces the device pre-filter
 ///    entirely ("hybrid+cache_prefilter"); the CPU post-process is
 ///    unchanged.
-/// Completed device-semantics scans are offered back to the cache when
-/// gate == nullptr (a gated offload is cached by the scheduler itself).
-/// A null cache is the paper's every-query-rescans path.
+/// The executor offers every completed device-semantics scan back to the
+/// cache. A null cache is the paper's every-query-rescans path.
 /// stats.config_gen_seconds includes the plan's compile_seconds.
 Result<HybridResult> ExecuteHybrid(Hal* hal, const Bat& input,
                                    const HybridPlan& plan,
-                                   RegexAdmissionGate* gate = nullptr,
                                    sched::ResultCache* cache = nullptr);
 
 /// Plans `pattern` against the HAL's geometry, then executes the plan.
 Result<HybridResult> ExecuteHybrid(Hal* hal, const Bat& input,
                                    std::string_view pattern,
                                    const CompileOptions& options = {},
-                                   RegexAdmissionGate* gate = nullptr,
                                    sched::ResultCache* cache = nullptr);
 
 }  // namespace doppio

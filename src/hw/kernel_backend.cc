@@ -259,7 +259,7 @@ const KernelBackend& BackendRegistry::ChooseHost(
 Result<int64_t> RunHostSlice(const DeviceConfig& device,
                              const JobParams& params,
                              std::shared_ptr<const CompiledPuProgram> program,
-                             HostSliceInfo* info) {
+                             HostSliceInfo* info, const uint16_t* mask) {
   if (program == nullptr) {
     DOPPIO_ASSIGN_OR_RETURN(ConfigVector cv,
                             ConfigVector::FromBytes(params.config));
@@ -276,56 +276,29 @@ Result<int64_t> RunHostSlice(const DeviceConfig& device,
   if (program->num_patterns() != streams) {
     return Status::Internal("host slice streams do not match the program");
   }
+  if (mask != nullptr && streams != 1) {
+    return Status::InvalidArgument(
+        "candidate masks take single-pattern programs");
+  }
   StringReader reader(params);
   OutputCollector collector(params);
   std::vector<uint16_t> values(static_cast<size_t>(streams));
   while (reader.HasMore()) {
     DOPPIO_ASSIGN_OR_RETURN(StringReader::Block block, reader.ReadBlock());
-    for (std::string_view s : block.strings) {
+    const uint16_t* block_mask =
+        mask == nullptr ? nullptr : mask + block.first_string;
+    for (size_t i = 0; i < block.strings.size(); ++i) {
       if (streams == 1) {
-        DOPPIO_RETURN_NOT_OK(collector.Append(exec->Match(s)));
+        const bool candidate = block_mask == nullptr || block_mask[i] != 0;
+        DOPPIO_RETURN_NOT_OK(collector.Append(
+            candidate ? exec->Match(block.strings[i]) : uint16_t{0}));
       } else {
-        exec->MatchSet(s, values.data());
+        exec->MatchSet(block.strings[i], values.data());
         DOPPIO_RETURN_NOT_OK(collector.AppendSet(values.data(), streams));
       }
     }
   }
   return collector.matches();
-}
-
-Result<int64_t> RunHostCandidates(
-    const Bat& input, int64_t rows, const uint16_t* candidates,
-    std::shared_ptr<const CompiledPuProgram> program, uint16_t* result,
-    HostSliceInfo* info) {
-  if (candidates == nullptr || result == nullptr || program == nullptr) {
-    return Status::InvalidArgument("null candidate-subset execution input");
-  }
-  if (input.type() != ValueType::kString) {
-    return Status::InvalidArgument("regex job input must be a string BAT");
-  }
-  if (program->num_patterns() != 1) {
-    return Status::InvalidArgument(
-        "candidate-subset execution takes single-pattern programs");
-  }
-  const int64_t n = std::min<int64_t>(rows, input.count());
-  const KernelBackend& backend =
-      BackendRegistry::Global().ChooseHost(*program);
-  std::unique_ptr<HostExecution> exec = backend.NewExecution(program);
-  if (info != nullptr) {
-    info->backend = backend.id();
-    info->kernel = exec->kernel_name();
-  }
-  int64_t matches = 0;
-  for (int64_t i = 0; i < n; ++i) {
-    if (candidates[i] == 0) {
-      result[i] = 0;
-      continue;
-    }
-    const uint16_t value = exec->Match(input.GetString(i));
-    result[i] = value;
-    if (value != 0) ++matches;
-  }
-  return matches;
 }
 
 }  // namespace doppio

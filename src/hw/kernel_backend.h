@@ -34,7 +34,6 @@
 #include <string_view>
 #include <vector>
 
-#include "bat/bat.h"
 #include "common/status.h"
 #include "hw/device_config.h"
 #include "hw/job.h"
@@ -125,25 +124,16 @@ struct HostSliceInfo {
 /// backend, writing raw 16-bit match indexes into the slice's result
 /// range — the same kernels the device's functional pass runs. `program`
 /// reuses an already-compiled program; when null the slice's config bytes
-/// are compiled on the spot. Returns the slice's match count.
+/// are compiled on the spot. `mask`, when set, holds one value per row of
+/// the slice (single-pattern programs only): a row whose value is 0 is
+/// written 0 without being matched. That is the result cache's pre-filter
+/// refine (docs/RESULT_CACHE.md): a complete coarser scan proved the row
+/// cannot match. Returns the slice's match count.
 Result<int64_t> RunHostSlice(const DeviceConfig& device,
                              const JobParams& params,
                              std::shared_ptr<const CompiledPuProgram> program =
                                  nullptr,
-                             HostSliceInfo* info = nullptr);
-
-/// Candidate-subset host execution — the result-cache pre-filter's
-/// refinement step (docs/RESULT_CACHE.md). Runs `program` over the first
-/// `rows` rows of `input`, but only where `candidates[i] != 0`: a zero
-/// candidate means a *complete* coarser scan already proved row i cannot
-/// match the refining pattern, so its result is written as 0 without
-/// touching the string. Candidate rows execute with full device Match
-/// semantics (first-match end saturated at 65535), so given the
-/// subsumption precondition the output is bit-identical to a full scan.
-/// Writes one uint16 per row into `result` and returns the match count.
-Result<int64_t> RunHostCandidates(
-    const Bat& input, int64_t rows, const uint16_t* candidates,
-    std::shared_ptr<const CompiledPuProgram> program, uint16_t* result,
-    HostSliceInfo* info = nullptr);
+                             HostSliceInfo* info = nullptr,
+                             const uint16_t* mask = nullptr);
 
 }  // namespace doppio

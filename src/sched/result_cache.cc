@@ -104,7 +104,7 @@ std::string ResultCache::MakeKey(std::string_view fingerprint,
 
 std::shared_ptr<const CachedResultBlock> ResultCache::Get(
     std::string_view fingerprint, uint64_t column_id, uint64_t column_version,
-    int64_t rows) {
+    int64_t rows, bool count_miss) {
   const std::string key = MakeKey(fingerprint, column_id, column_version);
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = index_.find(key);
@@ -113,8 +113,10 @@ std::shared_ptr<const CachedResultBlock> ResultCache::Get(
   // even keyed, or the entry predates a truncation). Serving it would
   // violate the snapshot; miss instead.
   if (it == index_.end() || it->second->block->rows() != rows) {
-    ++misses_;
-    MissesCounter()->Add();
+    if (count_miss) {
+      ++misses_;
+      MissesCounter()->Add();
+    }
     return nullptr;
   }
   lru_.splice(lru_.begin(), lru_, it->second);

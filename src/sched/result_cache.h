@@ -72,12 +72,15 @@ class ResultCache {
 
   /// Returns the cached block for (fingerprint, column, version) when one
   /// exists AND its row extent equals `rows` (the caller's admission-time
-  /// snapshot) — anything else is a miss. A hit promotes the entry and
-  /// credits bytes_saved with the rescan output it avoided. Thread-safe.
+  /// snapshot) — anything else is a miss, counted unless `count_miss` is
+  /// false (a re-probe of a lookup that already counted). A hit promotes
+  /// the entry and credits bytes_saved with the rescan output it avoided.
+  /// Thread-safe.
   std::shared_ptr<const CachedResultBlock> Get(std::string_view fingerprint,
                                                uint64_t column_id,
                                                uint64_t column_version,
-                                               int64_t rows);
+                                               int64_t rows,
+                                               bool count_miss = true);
 
   /// Partial-extent reuse (ROADMAP item-5 follow-on): returns the LARGEST
   /// cached block for this fingerprint × column whose row extent is

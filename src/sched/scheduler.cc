@@ -8,7 +8,6 @@
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "obs/metrics.h"
-#include "obs/tracer.h"
 
 namespace doppio {
 namespace sched {
@@ -155,23 +154,19 @@ struct Request {
   // --- Admission snapshot (docs/RESULT_CACHE.md) --------------------------
   // The column's identity, content version and row count as of Submit.
   // Execution scans exactly admit_rows rows whatever the input grows to,
-  // and the result cache keys on (fingerprint, column_id, admit_version).
-  uint64_t column_id = 0;
-  uint64_t admit_version = 0;
+  // and the result cache keys on (fingerprint, column id, version).
+  ColumnSnapshot column;
   int64_t admit_rows = 0;
-  /// Set once per request by the dispatcher's cache sweep so a request
-  /// re-queued across waves cannot inflate the miss counter.
-  bool cache_checked = false;
-  /// The cached block serving this request (Route::kCache only).
-  std::shared_ptr<const CachedResultBlock> cached;
-  /// Partial-extent serve (docs/RESULT_CACHE.md): a cached block from a
-  /// shorter, earlier version of this append-only column. It answers rows
-  /// [0, prefix->rows()) verbatim; execution scans only the appended tail
-  /// [prefix->rows(), admit_rows) and the merged block re-enters the
-  /// cache under the current version. Null = full scan.
-  std::shared_ptr<const CachedResultBlock> prefix;
-  /// One GetPrefix probe per request, mirroring cache_checked.
-  bool prefix_checked = false;
+  /// The result cache's answer for the snapshot: an exact block serves
+  /// the request whole (Route::kCache); a prefix block from a shorter,
+  /// earlier version of this append-only column answers its rows
+  /// verbatim while execution scans only the appended tail, and the
+  /// merged block re-enters the cache under the current version.
+  CacheHit cache;
+  /// Set by the dispatcher's first probe, the only one that counts a
+  /// miss and looks for a prefix block: a request re-queued across waves
+  /// re-probes for an exact block only.
+  bool probed = false;
 
   // --- Completion state ---------------------------------------------------
   bool done = false;
@@ -282,8 +277,7 @@ Result<QueryTicket> QueryScheduler::Submit(Session* session, const Bat& input,
   // append landing between here and wave execution bumps the version (so
   // the cache never pairs this snapshot with post-append rows) and grows
   // the count (which execution ignores in favour of admit_rows).
-  request->column_id = input.id();
-  request->admit_version = input.version();
+  request->column = {input.id(), input.version()};
   request->admit_rows = input.count();
   request->cost_rows = std::max<int64_t>(request->admit_rows, 1);
 
@@ -404,15 +398,6 @@ Result<ScheduledResult> QueryScheduler::Execute(Session* session,
   return Wait(ticket);
 }
 
-Result<HudfResult> QueryScheduler::Gate::ExecuteRegex(
-    const Bat& input, std::string_view pattern,
-    const CompileOptions& options) {
-  DOPPIO_ASSIGN_OR_RETURN(
-      ScheduledResult scheduled,
-      scheduler_->Execute(session_, input, pattern, options));
-  return std::move(scheduled.hudf);
-}
-
 int QueryScheduler::queue_depth() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return global_queued_;
@@ -443,24 +428,21 @@ QueryScheduler::Wave QueryScheduler::PickWaveLocked() {
              head->route != Route::kCpuProgram)) {
           continue;  // kCpuDfa results use 32767 software semantics
         }
-        auto block =
-            results_->Get(head->program->fingerprint, head->column_id,
-                          head->admit_version, head->admit_rows);
-        if (block == nullptr) {
-          // Exact miss: remember the largest cached block of an earlier
-          // (shorter) version of this append-only column, if any. The
-          // request still scans — but only the appended tail, with the
-          // prefix served from this block at merge time. Probed once per
-          // request; the request stays queued with normal DRR charging.
-          if (!head->prefix_checked) {
-            head->prefix_checked = true;
-            head->prefix = results_->GetPrefix(
-                head->program->fingerprint, head->column_id,
-                head->admit_rows);
-          }
+        // Every pick re-probes for an exact block, so a queued request
+        // still hits one inserted meanwhile. Only the first probe counts
+        // a miss and looks for a prefix block; a later miss keeps it. A
+        // prefix-served request still scans the appended tail, queued
+        // with normal DRR charging.
+        CacheHit hit = ResolveCached(
+            results_.get(), head->program->config, head->column,
+            head->admit_rows,
+            {.prefix = !head->probed, .count_miss = !head->probed});
+        head->probed = true;
+        if (!hit.exact) {
+          if (hit.block != nullptr) head->cache = std::move(hit);
           continue;
         }
-        head->cached = std::move(block);
+        head->cache = std::move(hit);
         wave.cached.push_back(std::move(head));
         queue.pop_front();
         --session->queued_;
@@ -612,27 +594,39 @@ QueryScheduler::Wave QueryScheduler::PickWaveLocked() {
 }
 
 void QueryScheduler::ExecuteWave(Wave* wave) {
-  // Cache-served queries first: re-validate each block against the
-  // request's admission snapshot, serve the ones that hold, and
-  // reject-and-retry the rest into this same wave's normal routes (the
-  // defensive arm of the stale-read fix — a block whose extent disagrees
-  // with the snapshot must rescan, never serve).
+  // Cache-served queries first, as one host-only plan of kCached queries:
+  // no engine, and the executor refuses a block that does not cover the
+  // admitted rows.
   if (!wave->cached.empty()) {
-    std::vector<std::shared_ptr<Request>> serve;
-    serve.reserve(wave->cached.size());
-    for (auto& request : wave->cached) {
-      Request* raw = request.get();
-      if (raw->cached != nullptr &&
-          raw->cached->rows() == raw->admit_rows) {
-        serve.push_back(std::move(request));
+    ScanPlan plan;
+    plan.device = &hal_->device_config();
+    std::vector<std::unique_ptr<Bat>> results(wave->cached.size());
+    Status status = Status::OK();
+    for (size_t i = 0; i < wave->cached.size() && status.ok(); ++i) {
+      const Request& request = *wave->cached[i];
+      auto result =
+          ZeroedInt16Bat(request.admit_rows, hal_->bat_allocator());
+      status = result.status();
+      if (!status.ok()) break;
+      results[i] = std::move(*result);
+      ScanQuery& query = plan.queries.emplace_back();
+      query.result = results[i].get();
+      query.span_name = "sched_cache_hit";
+      query.AddSlices(request.cache, 0, request.admit_rows,
+                      SliceSource::kHost);
+    }
+    if (status.ok()) status = ExecuteScanPlan(&plan);
+    for (size_t i = 0; i < wave->cached.size(); ++i) {
+      Request& request = *wave->cached[i];
+      if (!status.ok()) {
+        request.status = status;
         continue;
       }
-      raw->cached.reset();
-      (raw->route == Route::kFpga ? wave->fpga : wave->cpu)
-          .push_back(std::move(request));
+      request.route = Route::kCache;
+      request.hudf.result = std::move(results[i]);
+      request.hudf.stats = std::move(plan.queries[i].stats);
+      request.session->cache_served_.fetch_add(1, std::memory_order_relaxed);
     }
-    wave->cached = std::move(serve);
-    for (auto& request : wave->cached) ServeCachedRequest(request.get());
     RouteCacheCounter().Add(static_cast<int64_t>(wave->cached.size()));
   }
 
@@ -661,7 +655,7 @@ void QueryScheduler::ExecuteWave(Wave* wave) {
       std::vector<std::vector<Request*>> groups;
       for (auto& request : wave->fpga) {
         Request* raw = request.get();
-        if (raw->prefix != nullptr) {
+        if (raw->cache.block != nullptr) {
           // Partial-extent requests scan only their private appended
           // tail; a set slot shares ONE full scan, so they get their own
           // classic slot instead of joining (or seeding) a group.
@@ -674,7 +668,7 @@ void QueryScheduler::ExecuteWave(Wave* wave) {
           // admission snapshot, not just the column pointer.
           if (group.front()->input == raw->input &&
               group.front()->admit_rows == raw->admit_rows &&
-              group.front()->admit_version == raw->admit_version) {
+              group.front()->column.version == raw->column.version) {
             group.push_back(raw);
             placed = true;
             break;
@@ -722,10 +716,13 @@ void QueryScheduler::ExecuteWave(Wave* wave) {
     const int partitions = std::max(
         1, hal_->pool()->total_engines() / batch_width);
     // The wave is one scan plan over the pool: a query per slot, sharded
-    // across the devices, stealing work from stalled members.
+    // across the devices, stealing work from stalled members. The
+    // executor offers every completed scan back to the result cache; set
+    // members under their own member fingerprint.
     ScanPlan plan;
     plan.hal = hal_;
     plan.pooled = true;
+    plan.cache = results_.get();
     std::vector<std::unique_ptr<Bat>> results(slots.size());
     Status status = Status::OK();
     for (size_t i = 0; i < slots.size() && status.ok(); ++i) {
@@ -736,9 +733,11 @@ void QueryScheduler::ExecuteWave(Wave* wave) {
           std::min<int64_t>(lead.admit_rows, lead.input->count());
       ScanQuery& query = plan.queries.emplace_back();
       query.timing_only = lead.timing_only;
+      query.snapshot = lead.column;
       if (slot.set != nullptr) {
         query.config = &slot.set->config;
         query.streams = static_cast<int>(slot.set->member_fingerprints.size());
+        query.stream_fingerprints = &slot.set->member_fingerprints;
         query.span_name = "sched_fpga_set";
         query.route = "fpga-set";
       } else {
@@ -755,16 +754,9 @@ void QueryScheduler::ExecuteWave(Wave* wave) {
       }
       results[i] = std::move(*result);
       query.result = results[i].get();
-      int64_t first = 0;
-      if (slot.set == nullptr && lead.prefix != nullptr) {
-        // Partial-extent serve: the cached prefix answers [0, first);
-        // the device scans only the appended tail.
-        first = std::min(lead.prefix->rows(), rows);
-        query.slices.push_back({SliceSource::kCached, 0, first,
-                                lead.prefix->values.data(),
-                                lead.prefix->rows_matched});
-      }
-      query.AddDeviceSlices(first, rows, partitions);
+      // A partial-extent request's prefix block answers its first rows;
+      // the device scans only the appended tail.
+      query.AddSlices(lead.cache, 0, rows, SliceSource::kDevice, partitions);
     }
     if (status.ok()) status = ExecuteScanPlan(&plan);
     int set_slots = 0;
@@ -815,13 +807,6 @@ void QueryScheduler::ExecuteWave(Wave* wave) {
       SetWavesCounter().Add(set_slots);
       SetQueriesCounter().Add(set_queries);
     }
-    // Offer every completed scan to the result cache (set members insert
-    // under their own member fingerprint — the demuxed stream is
-    // bit-identical to a solo run of that member). The completeness guard
-    // inside Put refuses saturated or fallback-degraded blocks.
-    if (results_ != nullptr) {
-      for (auto& request : wave->fpga) MaybeCacheResult(request.get());
-    }
     RouteFpgaCounter().Add(static_cast<int64_t>(wave->fpga.size()));
     BatchWidthHistogram().Observe(static_cast<double>(batch_width));
   }
@@ -843,13 +828,17 @@ void QueryScheduler::RunCpuRequest(Request* request) {
   if (request->route == Route::kCpuProgram) {
     // Same compiled program the engines execute, through the registry-
     // chosen host backend — results bit-identical to the hardware
-    // functional pass by construction. A host-only plan: its result stays
-    // off the shared arena, and it never touches the device pool.
+    // functional pass by construction, so the executor offers them back
+    // to the result cache like a device scan. A host-only plan: its
+    // result stays off the shared arena, and it never touches the device
+    // pool.
     ScanPlan plan;
     plan.device = &hal_->device_config();
+    plan.cache = results_.get();
     ScanQuery& query = plan.queries.emplace_back();
     query.config = &request->program->config;
     query.program = request->program->program;
+    query.snapshot = request->column;
     query.route = "sched_cpu";
     status = query.SetView(input);
     auto result = ZeroedInt16Bat(rows);
@@ -857,16 +846,9 @@ void QueryScheduler::RunCpuRequest(Request* request) {
     if (status.ok()) {
       out.result = std::move(*result);
       query.result = out.result.get();
-      // Partial-extent serve: the cached prefix block answers [0, first);
+      // A partial-extent request's prefix block answers its first rows;
       // the host backend scans only the appended tail.
-      int64_t first = 0;
-      if (request->prefix != nullptr) {
-        first = std::min(request->prefix->rows(), rows);
-        query.slices.push_back({SliceSource::kCached, 0, first,
-                                request->prefix->values.data(),
-                                request->prefix->rows_matched});
-      }
-      query.slices.push_back({SliceSource::kHost, first, rows - first});
+      query.AddSlices(request->cache, 0, rows, SliceSource::kHost);
       status = ExecuteScanPlan(&plan);
       out.stats = std::move(query.stats);
     }
@@ -887,62 +869,9 @@ void QueryScheduler::RunCpuRequest(Request* request) {
 
   if (status.ok()) {
     request->hudf = std::move(out);
-    // kCpuProgram results carry device Match semantics, so they are as
-    // cacheable as a device scan; kCpuDfa's 32767-capped software values
-    // are not (MaybeCacheResult skips them — no program, no fingerprint).
-    if (request->route == Route::kCpuProgram && results_ != nullptr) {
-      MaybeCacheResult(request);
-    }
   } else {
     request->status = status;
   }
-}
-
-void QueryScheduler::ServeCachedRequest(Request* request) {
-  obs::Tracer& tracer = obs::Tracer::Global();
-  const obs::TraceId trace = tracer.BeginQuery("sched_cache_hit");
-  HudfResult out;
-  out.stats.trace_id = trace;
-  out.stats.strategy = "fpga-cache";
-  out.stats.rows_scanned = request->admit_rows;
-  out.stats.rows_matched = request->cached->rows_matched;
-  Stopwatch copy_watch;
-  auto result = ZeroedInt16Bat(request->admit_rows, hal_->bat_allocator());
-  Status status = result.status();
-  if (status.ok()) out.result = std::move(*result);
-  if (status.ok() && request->admit_rows > 0) {
-    std::memcpy(out.result->mutable_tail_data(),
-                request->cached->values.data(),
-                static_cast<size_t>(request->admit_rows) * sizeof(uint16_t));
-  }
-  // hw_seconds stays 0: no engine ran. The copy is the whole cost.
-  out.stats.udf_software_seconds = copy_watch.ElapsedSeconds();
-  if (trace != obs::kInvalidTraceId) {
-    tracer.RecordInstant(trace, "cache_hit", hal_->device()->now());
-  }
-  tracer.EndQuery(trace);
-  if (status.ok()) {
-    request->route = Route::kCache;
-    request->hudf = std::move(out);
-    request->session->cache_served_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    request->status = status;
-  }
-}
-
-void QueryScheduler::MaybeCacheResult(Request* request) {
-  if (results_ == nullptr || request->program == nullptr) return;
-  if (!request->status.ok() || request->timing_only) return;
-  const HudfResult& hudf = request->hudf;
-  if (hudf.result == nullptr || hudf.result->count() != request->admit_rows) {
-    return;
-  }
-  const bool degraded = hudf.stats.fallback_rows > 0;
-  const uint16_t* data =
-      reinterpret_cast<const uint16_t*>(hudf.result->tail_data());
-  std::vector<uint16_t> values(data, data + request->admit_rows);
-  results_->Put(request->program->fingerprint, request->column_id,
-                request->admit_version, std::move(values), degraded);
 }
 
 void QueryScheduler::FinalizeWaveLocked(Wave* wave) {

@@ -194,22 +194,6 @@ class QueryScheduler {
   /// tickets.
   void Shutdown();
 
-  /// Binds (scheduler, session) into the db-layer admission-gate
-  /// interface, so ExecuteHybrid routes its FPGA offloads through the
-  /// scheduler.
-  class Gate : public RegexAdmissionGate {
-   public:
-    Gate(QueryScheduler* scheduler, Session* session)
-        : scheduler_(scheduler), session_(session) {}
-    Result<HudfResult> ExecuteRegex(const Bat& input,
-                                    std::string_view pattern,
-                                    const CompileOptions& options) override;
-
-   private:
-    QueryScheduler* scheduler_;
-    Session* session_;
-  };
-
   ProgramCache& program_cache() { return cache_; }
   /// The versioned match-result cache; null unless Options::result_cache.
   ResultCache* result_cache() { return results_.get(); }
@@ -221,8 +205,8 @@ class QueryScheduler {
   struct Wave {
     std::vector<std::shared_ptr<internal::Request>> fpga;
     std::vector<std::shared_ptr<internal::Request>> cpu;
-    /// Requests whose admission snapshot hit the result cache: served
-    /// from the cached block in ExecuteWave, no engine, no deficit.
+    /// Requests whose admission snapshot hit the result cache exactly:
+    /// served from the cached block in ExecuteWave, no engine, no deficit.
     std::vector<std::shared_ptr<internal::Request>> cached;
     bool empty() const {
       return fpga.empty() && cpu.empty() && cached.empty();
@@ -238,12 +222,6 @@ class QueryScheduler {
   /// Marks a finished wave's requests complete. Requires mutex_.
   void FinalizeWaveLocked(Wave* wave);
   void RunCpuRequest(internal::Request* request);
-  /// Materializes a cache-served request's result from its cached block.
-  void ServeCachedRequest(internal::Request* request);
-  /// Offers a completed scan's block to the result cache (no-op when the
-  /// cache is off or the result is ineligible: degraded, timing-only,
-  /// saturated — the completeness guard lives in ResultCache::Put).
-  void MaybeCacheResult(internal::Request* request);
 
   Hal* const hal_;
   const Options options_;

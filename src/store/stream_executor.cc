@@ -1,7 +1,6 @@
 #include "store/stream_executor.h"
 
 #include <algorithm>
-#include <cstring>
 #include <vector>
 
 #include "common/logging.h"
@@ -10,7 +9,6 @@
 #include "hw/perf_model.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
-#include "sched/result_cache.h"
 
 namespace doppio {
 
@@ -47,10 +45,6 @@ Result<HudfResult> RegexpFpgaStreamed(Hal* hal, Pager* pager,
   if (hal == nullptr || pager == nullptr) {
     return Status::InvalidArgument("streamed scan requires a HAL and a pager");
   }
-  if (options.result_cache != nullptr && options.fingerprint.empty()) {
-    return Status::InvalidArgument(
-        "per-segment caching requires a program fingerprint");
-  }
   Stopwatch udf_watch;
   obs::Tracer& tracer = obs::Tracer::Global();
   const obs::TraceId trace = tracer.BeginQuery(options.span_name);
@@ -60,7 +54,6 @@ Result<HudfResult> RegexpFpgaStreamed(Hal* hal, Pager* pager,
   HudfResult out;
   out.stats.trace_id = trace;
   out.stats.strategy = "fpga-streamed";
-  out.stats.rows_scanned = snapshot.rows;
 
   const size_t W = snapshot.segments.size();
 
@@ -90,23 +83,16 @@ Result<HudfResult> RegexpFpgaStreamed(Hal* hal, Pager* pager,
   DOPPIO_CHECK(row_base[W - 1] + snapshot.segments[W - 1]->rows() ==
                snapshot.rows);
 
-  // Upfront per-segment cache probe: hit windows are served as block
-  // copies and never pinned, so a fully cached repeat scan does zero
-  // paging and zero device work.
-  std::vector<std::shared_ptr<const sched::CachedResultBlock>> hit(W);
-  if (options.result_cache != nullptr) {
-    for (size_t w = 0; w < W; ++w) {
-      const Segment& seg = *snapshot.segments[w];
-      hit[w] = options.result_cache->Get(options.fingerprint, seg.id(),
-                                         Segment::kSealedVersion, seg.rows());
-      if (hit[w] != nullptr) {
-        std::memcpy(out.result->mutable_tail_data() + row_base[w] * 2,
-                    hit[w]->values.data(),
-                    static_cast<size_t>(seg.rows()) * sizeof(uint16_t));
-        out.stats.rows_matched += hit[w]->rows_matched;
-        WindowCacheHitsCounter().Add(1);
-      }
-    }
+  // Upfront per-segment cache probe: hit windows are never pinned, so a
+  // fully cached repeat scan does zero paging and zero device work.
+  std::vector<CacheHit> hit(W);
+  bool any_hit = false;
+  for (size_t w = 0; w < W; ++w) {
+    const Segment& seg = *snapshot.segments[w];
+    hit[w] = ResolveCached(options.result_cache, config,
+                           {seg.id(), Segment::kSealedVersion}, seg.rows(),
+                           {.prefix = false});
+    any_hit |= hit[w].block != nullptr;
   }
 
   // Pin bookkeeping: prefetched[w] holds a view pinned ahead of its turn.
@@ -144,8 +130,28 @@ Result<HudfResult> RegexpFpgaStreamed(Hal* hal, Pager* pager,
   Stopwatch loop_watch;
   double plan_udf_seconds = 0;
   double page_in_total = 0;
+  // Hit windows first: one host-only query whose kCached slices copy each
+  // segment's block into its row range of the result.
+  if (any_hit) {
+    ScanPlan plan;
+    plan.device = &dev_config;
+    ScanQuery& cached = plan.queries.emplace_back();
+    cached.result = out.result.get();
+    cached.trace = trace;
+    for (size_t w = 0; w < W; ++w) {
+      if (hit[w].block == nullptr) continue;
+      cached.AddSlices(hit[w], row_base[w],
+                       row_base[w] + snapshot.segments[w]->rows(),
+                       SliceSource::kHost);
+      WindowCacheHitsCounter().Add(1);
+    }
+    if (Status st = ExecuteScanPlan(&plan); !st.ok()) return fail(st);
+    out.stats.rows_matched += cached.stats.rows_matched;
+    out.stats.hal_seconds += cached.stats.hal_seconds;
+    plan_udf_seconds += cached.stats.udf_software_seconds;
+  }
   for (size_t w = 0; w < W; ++w) {
-    if (hit[w] != nullptr) continue;
+    if (hit[w].block != nullptr) continue;
     const Segment& seg = *snapshot.segments[w];
     const int64_t rows = seg.rows();
 
@@ -167,7 +173,7 @@ Result<HudfResult> RegexpFpgaStreamed(Hal* hal, Pager* pager,
     // windows degrades gracefully to serial page-then-scan.
     if (options.overlap) {
       for (size_t n = w + 1; n < W; ++n) {
-        if (hit[n] != nullptr) continue;
+        if (hit[n].block != nullptr) continue;
         if (!pinned[n]) {
           Status st = pin_window(n);
           if (!st.ok() && st.code() != StatusCode::kResourceExhausted) {
@@ -182,10 +188,13 @@ Result<HudfResult> RegexpFpgaStreamed(Hal* hal, Pager* pager,
     }
 
     // The window is one scan plan over the pool, sliced exactly like a
-    // resident pooled scan; its rows land at row_base[w] of the result.
+    // resident pooled scan; its rows land at row_base[w] of the result,
+    // and the executor offers them back under the segment's stable
+    // identity so a repeat scan skips the window entirely.
     ScanPlan plan;
     plan.hal = hal;
     plan.pooled = true;
+    plan.cache = options.result_cache;
     ScanQuery& window = plan.queries.emplace_back();
     window.offsets = view[w].offsets;
     window.heap = view[w].heap;
@@ -194,6 +203,7 @@ Result<HudfResult> RegexpFpgaStreamed(Hal* hal, Pager* pager,
     window.result = out.result.get();
     window.result_offset = row_base[w];
     window.config = &config;
+    window.snapshot = {seg.id(), Segment::kSealedVersion};
     window.trace = trace;
     window.route = "fpga-streamed";
     window.AddDeviceSlices(0, rows, options.partitions > 0
@@ -204,6 +214,7 @@ Result<HudfResult> RegexpFpgaStreamed(Hal* hal, Pager* pager,
       return fail(st);
     }
     const QueryStats& ws = window.stats;
+    out.stats.rows_scanned += ws.rows_scanned;
     out.stats.rows_matched += ws.rows_matched;
     if (out.stats.pu_kernel.empty()) out.stats.pu_kernel = ws.pu_kernel;
     out.stats.functional_bytes += ws.functional_bytes;
@@ -218,19 +229,6 @@ Result<HudfResult> RegexpFpgaStreamed(Hal* hal, Pager* pager,
     d_exec.push_back(ws.hw_seconds);
     out.stats.windows_streamed += 1;
     WindowsStreamedCounter().Add(1);
-
-    // Offer the clean window back to the cache under the segment's stable
-    // (id, version=1) identity so a repeat scan skips it entirely. The
-    // cache's own completeness guard refuses saturated blocks.
-    if (options.result_cache != nullptr && ws.fallback_rows == 0) {
-      const uint8_t* tail = out.result->tail_data() + row_base[w] * 2;
-      std::vector<uint16_t> values(static_cast<size_t>(rows));
-      std::memcpy(values.data(), tail,
-                  static_cast<size_t>(rows) * sizeof(uint16_t));
-      options.result_cache->Put(options.fingerprint, seg.id(),
-                                Segment::kSealedVersion, std::move(values),
-                                /*degraded=*/false);
-    }
 
     pager->Unpin(snapshot.segments[w].get());
     pinned[w] = 0;

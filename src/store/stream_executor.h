@@ -8,12 +8,13 @@
 // fault degradation to the host), and its results land in the window's
 // disjoint row range of one result BAT — so the stitched column of match
 // values is bit-identical to scanning the same rows fully resident.
-// Pinning, prefetch, the per-segment cache probe/put and the
-// double-buffer stitch below stay here. Host phases: the windows' plan
-// builds are hal_seconds and their post-drain phases (software fallback)
-// udf_software_seconds; the rest of the window loop — drains, page-in
-// copies, per-segment cache puts — is sim_host_seconds, as it was
-// before the executor.
+// Pinning, prefetch and the double-buffer stitch below stay here; the
+// result cache is consulted through the executor (ResolveCached per
+// segment, offer-back per scanned window). Host phases: the plans'
+// builds are hal_seconds and their post-drain phases (cached-window
+// copies, software fallback) udf_software_seconds; the rest of the
+// window loop — drains, page-in copies, per-segment cache puts — is
+// sim_host_seconds, as it was before the executor.
 //
 // Timing follows the repo's virtual-time discipline. A window that had to
 // be paged in pays the modeled QPI transfer (TransferSeconds over its
@@ -32,12 +33,13 @@
 // QueryStats, page-in instants and per-job records in the tracer.
 //
 // Sealed segments have stable (id, version=1) identity, so when a result
-// cache is supplied each window's clean block is cached per segment and a
-// repeat scan skips both the transfer AND the execution of hit windows —
-// the cache composes with paging instead of fighting it.
+// cache is supplied every window is probed up front under the program's
+// config bytes, hit windows are served as cached slices of one host-only
+// query, and each scanned window's clean block is offered back per
+// segment: a repeat scan skips both the transfer AND the execution of hit
+// windows — the cache composes with paging instead of fighting it.
+// rows_scanned counts the scanned windows' rows only.
 #pragma once
-
-#include <string>
 
 #include "common/status.h"
 #include "db/hudf.h"
@@ -47,10 +49,6 @@
 
 namespace doppio {
 
-namespace sched {
-class ResultCache;
-}  // namespace sched
-
 struct StreamOptions {
   /// Slices per window (0 = one per engine across the pool).
   int partitions = 0;
@@ -58,13 +56,10 @@ struct StreamOptions {
   /// execution. Off = serial page-then-scan (the bench's baseline).
   bool overlap = true;
   const char* span_name = "regexp_fpga_streamed";
-  /// Optional per-segment result caching. Windows whose (fingerprint,
+  /// Optional per-segment result caching. Windows whose (config bytes,
   /// segment id, version 1, rows) block is cached are served without
   /// pinning or scanning; clean scanned windows are offered back.
   sched::ResultCache* result_cache = nullptr;
-  /// Compiled-program fingerprint keying the per-segment blocks.
-  /// Required when result_cache is set.
-  std::string fingerprint;
 };
 
 /// Streams `snapshot` through the device(s) window by window. The result

@@ -4,7 +4,6 @@
 #include <thread>
 
 #include "db/column_store.h"
-#include "db/udf.h"
 #include "hal/hal.h"
 #include "workload/address_generator.h"
 #include "workload/queries.h"
@@ -283,32 +282,6 @@ TEST_F(FpgaSelectionTest, NegatedFpgaAgreesOnResidentAndSegmented) {
   EXPECT_LT(selected, static_cast<int64_t>(rows.size()));
   EXPECT_EQ(resident_stats.rows_matched, selected);
   EXPECT_EQ(segmented_stats.rows_matched, selected);
-}
-
-TEST(UdfRegistryTest, RegisterAndLookup) {
-  UdfRegistry registry;
-  ASSERT_TRUE(RegisterBuiltinUdfs(&registry, nullptr).ok());
-  EXPECT_NE(registry.Lookup("regexp_like"), nullptr);
-  EXPECT_NE(registry.Lookup("regexp_dfa"), nullptr);
-  // No HAL: hardware UDFs absent.
-  EXPECT_EQ(registry.Lookup("regexp_fpga"), nullptr);
-  EXPECT_EQ(registry.Lookup("nonexistent"), nullptr);
-  EXPECT_FALSE(registry.Register("regexp_like", nullptr).ok());
-}
-
-TEST(UdfRegistryTest, SoftwareUdfReturnsShortBat) {
-  UdfRegistry registry;
-  ASSERT_TRUE(RegisterBuiltinUdfs(&registry, nullptr).ok());
-  const StringBatUdf* udf = registry.Lookup("regexp_dfa");
-  ASSERT_NE(udf, nullptr);
-  Bat input(ValueType::kString);
-  ASSERT_TRUE(input.AppendString("hello world").ok());
-  ASSERT_TRUE(input.AppendString("nothing").ok());
-  auto result = (*udf)(input, "world");
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ((*result)->type(), ValueType::kInt16);
-  EXPECT_EQ((*result)->GetInt16(0), 11);  // end of "world"
-  EXPECT_EQ((*result)->GetInt16(1), 0);
 }
 
 }  // namespace

@@ -1,14 +1,18 @@
 // The versioned match-result cache (docs/RESULT_CACHE.md): unit coverage
 // of keying/LRU/guard/invalidation, the scheduler's cache-served route
-// (bit-identity, zero-cost grants, admission snapshots), the saturation
-// hazard regression across device-shard boundaries, the hybrid
-// executor's pre-filter reuse, the ProgramCache evict-mid-wave
-// accounting fix, and the ingest invalidation path.
+// (bit-identity, zero-cost grants, admission snapshots, one miss per
+// request), the saturation hazard regression across device-shard
+// boundaries, the hybrid executor's pre-filter reuse, the candidate-mask
+// host slice, one cache contract across every layer that scans through
+// the executor, the ProgramCache evict-mid-wave accounting fix, and the
+// ingest invalidation path.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <memory>
+#include <optional>
+#include <ostream>
 #include <shared_mutex>
 #include <string>
 #include <thread>
@@ -21,6 +25,9 @@
 #include "sched/program_cache.h"
 #include "sched/result_cache.h"
 #include "sched/scheduler.h"
+#include "store/pager.h"
+#include "store/segmented_column.h"
+#include "store/stream_executor.h"
 #include "workload/address_generator.h"
 #include "workload/queries.h"
 
@@ -333,9 +340,9 @@ TEST(SchedulerCacheTest, AppendedTailServedFromCachedPrefix) {
   EXPECT_EQ(tail->route, Route::kFpga);
   EXPECT_EQ(tail->hudf.stats.strategy, "fpga+cache_prefix");
   ExpectSameColumn(expected, *tail->hudf.result);
-  // The stitched result reports the full admitted extent and the merged
-  // match count.
-  EXPECT_EQ(tail->hudf.stats.rows_scanned, input.count());
+  // The stitched result reports the merged match count; only the tail's
+  // two rows were scanned.
+  EXPECT_EQ(tail->hudf.stats.rows_scanned, 2);
   EXPECT_EQ(scheduler.result_cache()->partial_hits(), 1);
 
   // The merged block was re-cached under the post-append version: the
@@ -513,6 +520,40 @@ TEST(SchedulerCacheTest, SetCompiledMembersCacheOrderInsensitively) {
   ExpectSameColumn(strasse, *r4->hudf.result);
 }
 
+TEST(SchedulerCacheTest, QueuedRequestCountsOneMiss) {
+  // Every pick re-probes each queued head for an exact block, so a request
+  // that waits out several waves can still hit one inserted meanwhile;
+  // only its first probe counts a miss.
+  Hal hal(TestHal());
+  Bat input(ValueType::kString, hal.bat_allocator());
+  FillInput(&input, 64);
+  QueryScheduler::Options options = CacheOn();
+  options.max_batch_width = 1;  // one request per wave
+  QueryScheduler scheduler(&hal, options);
+  std::vector<Session*> sessions;
+  for (int i = 0; i < 3; ++i) sessions.push_back(scheduler.CreateSession());
+
+  auto run = [&](const std::vector<std::string>& patterns) {
+    std::vector<QueryTicket> tickets;
+    for (size_t i = 0; i < patterns.size(); ++i) {
+      auto ticket = scheduler.Submit(sessions[i], input, patterns[i]);
+      ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+      tickets.push_back(*ticket);
+    }
+    for (const QueryTicket& ticket : tickets) {
+      ASSERT_TRUE(scheduler.Wait(ticket).ok());
+    }
+  };
+  // Three cold patterns run in three waves: probed 3 + 2 + 1 times.
+  run({"Strasse", "Gasse", "Berner"});
+  EXPECT_EQ(scheduler.result_cache()->misses(), 3);
+  EXPECT_EQ(scheduler.result_cache()->hits(), 0);
+  // A repeat hits; the two new patterns miss once each.
+  run({"Strasse", "Haupt", "address"});
+  EXPECT_EQ(scheduler.result_cache()->misses(), 5);
+  EXPECT_EQ(scheduler.result_cache()->hits(), 1);
+}
+
 // --- Hybrid pre-filter reuse ------------------------------------------------
 
 TEST(HybridCacheTest, ExactRepeatServedAsFpgaCache) {
@@ -522,12 +563,12 @@ TEST(HybridCacheTest, ExactRepeatServedAsFpgaCache) {
   const std::vector<int16_t> expected = DirectResult(&hal, input, "Strasse");
 
   ResultCache cache(1 << 20);
-  auto cold = ExecuteHybrid(&hal, input, "Strasse", {}, nullptr, &cache);
+  auto cold = ExecuteHybrid(&hal, input, "Strasse", {}, &cache);
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
   ExpectSameColumn(expected, *cold->result);
   EXPECT_EQ(cache.size(), 1);
 
-  auto warm = ExecuteHybrid(&hal, input, "Strasse", {}, nullptr, &cache);
+  auto warm = ExecuteHybrid(&hal, input, "Strasse", {}, &cache);
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
   EXPECT_EQ(warm->stats.strategy, "fpga-cache");
   ExpectSameColumn(expected, *warm->result);
@@ -547,12 +588,12 @@ TEST(HybridCacheTest, CachedCoarserScanSubsumesRefiningPattern) {
 
   ResultCache cache(1 << 20);
   // Seed the coarser scan.
-  auto coarse = ExecuteHybrid(&hal, input, "Berner", {}, nullptr, &cache);
+  auto coarse = ExecuteHybrid(&hal, input, "Berner", {}, &cache);
   ASSERT_TRUE(coarse.ok()) << coarse.status().ToString();
   ASSERT_EQ(cache.size(), 1);
 
   auto refined =
-      ExecuteHybrid(&hal, input, "Berner.*Strasse", {}, nullptr, &cache);
+      ExecuteHybrid(&hal, input, "Berner.*Strasse", {}, &cache);
   ASSERT_TRUE(refined.ok()) << refined.status().ToString();
   EXPECT_EQ(refined->stats.strategy, "fpga+cache_prefilter");
   ExpectSameColumn(expected, *refined->result);
@@ -562,7 +603,7 @@ TEST(HybridCacheTest, CachedCoarserScanSubsumesRefiningPattern) {
   // The refined block was cached under the full pattern: an exact repeat
   // now serves straight from cache.
   auto warm =
-      ExecuteHybrid(&hal, input, "Berner.*Strasse", {}, nullptr, &cache);
+      ExecuteHybrid(&hal, input, "Berner.*Strasse", {}, &cache);
   ASSERT_TRUE(warm.ok());
   EXPECT_EQ(warm->stats.strategy, "fpga-cache");
   ExpectSameColumn(expected, *warm->result);
@@ -577,7 +618,7 @@ TEST(HybridCacheTest, AppendedTailReusesCachedPrefixExtent) {
   FillInput(&input, 64);
 
   ResultCache cache(1 << 20);
-  auto cold = ExecuteHybrid(&hal, input, "Strasse", {}, nullptr, &cache);
+  auto cold = ExecuteHybrid(&hal, input, "Strasse", {}, &cache);
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
   ASSERT_EQ(cache.size(), 1);
 
@@ -585,7 +626,7 @@ TEST(HybridCacheTest, AppendedTailReusesCachedPrefixExtent) {
   ASSERT_TRUE(input.AppendString("nothing to see").ok());
   const std::vector<int16_t> expected = DirectResult(&hal, input, "Strasse");
 
-  auto tail = ExecuteHybrid(&hal, input, "Strasse", {}, nullptr, &cache);
+  auto tail = ExecuteHybrid(&hal, input, "Strasse", {}, &cache);
   ASSERT_TRUE(tail.ok()) << tail.status().ToString();
   EXPECT_EQ(tail->stats.strategy, "fpga+cache_prefix");
   ExpectSameColumn(expected, *tail->result);
@@ -594,7 +635,7 @@ TEST(HybridCacheTest, AppendedTailReusesCachedPrefixExtent) {
   EXPECT_EQ(tail->stats.rows_scanned, 2);
 
   // The merged block went back into the cache under the new version.
-  auto warm = ExecuteHybrid(&hal, input, "Strasse", {}, nullptr, &cache);
+  auto warm = ExecuteHybrid(&hal, input, "Strasse", {}, &cache);
   ASSERT_TRUE(warm.ok());
   EXPECT_EQ(warm->stats.strategy, "fpga-cache");
   ExpectSameColumn(expected, *warm->result);
@@ -625,13 +666,13 @@ TEST(HybridCacheTest, HybridPlanReusesCachedPrefixWithoutOffload) {
   const std::string pattern = QueryPattern(EvalQuery::kQH);
 
   ResultCache cache(1 << 20);
-  auto cold = ExecuteHybrid(&hal, input, pattern, {}, nullptr, &cache);
+  auto cold = ExecuteHybrid(&hal, input, pattern, {}, &cache);
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
   ASSERT_EQ(cold->strategy, HybridStrategy::kHybrid);
   EXPECT_EQ(cold->stats.strategy, "hybrid");
   ASSERT_EQ(cache.size(), 1);  // the prefix scan
 
-  auto warm = ExecuteHybrid(&hal, input, pattern, {}, nullptr, &cache);
+  auto warm = ExecuteHybrid(&hal, input, pattern, {}, &cache);
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
   EXPECT_EQ(warm->stats.strategy, "hybrid+cache_prefilter");
   EXPECT_GE(cache.prefilter_uses(), 1);
@@ -641,6 +682,364 @@ TEST(HybridCacheTest, HybridPlanReusesCachedPrefixWithoutOffload) {
         << "row " << i;
   }
 }
+
+// --- Candidate-mask host slice ----------------------------------------------
+
+/// A candidate mask over rows [first, first + rows): one value per row,
+/// nonzero where `candidate(row)`.
+template <typename Candidate>
+std::shared_ptr<CachedResultBlock> MaskOf(int64_t first, int64_t rows,
+                                          Candidate candidate) {
+  auto mask = std::make_shared<CachedResultBlock>();
+  for (int64_t row = first; row < first + rows; ++row) {
+    mask->values.push_back(candidate(row) ? 1 : 0);
+    mask->rows_matched += candidate(row) ? 1 : 0;
+  }
+  return mask;
+}
+
+TEST(CandidateMaskTest, MaskedRowsWriteZeroAndCandidatesMatchAFullRun) {
+  // The pre-filter refine's host slice: rows the mask rules out write 0
+  // unmatched; candidate rows match exactly as a full host run does,
+  // 65535 saturation included, across a slice boundary.
+  Hal hal(TestHal());
+  Bat input(ValueType::kString, hal.bat_allocator());
+  FillInput(&input, 3);
+  std::string saturating(65540 - 7, 'x');  // match ends past 65535
+  saturating += "Strasse";
+  ASSERT_TRUE(input.AppendString(saturating).ok());
+  FillInput(&input, 28, 3);
+  const int64_t rows = input.count();
+  auto config = hal.CompileConfig("Strasse");
+  ASSERT_TRUE(config.ok());
+  auto full = RegexpHost(hal.device_config(), input, *config);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  ASSERT_EQ(static_cast<uint16_t>(full->result->GetInt16(3)), 65535u);
+
+  // Candidates: the saturating row, a run straddling the boundary at 16
+  // between the two slices, and every fifth row.
+  auto candidate = [](int64_t row) {
+    return row == 3 || (row >= 13 && row < 19) || row % 5 == 0;
+  };
+  constexpr int64_t kBoundary = 16;
+  ScanPlan plan;
+  plan.device = &hal.device_config();
+  ScanQuery& query = plan.queries.emplace_back();
+  ASSERT_TRUE(query.SetView(input).ok());
+  auto result = ZeroedInt16Bat(rows);
+  ASSERT_TRUE(result.ok());
+  query.result = result->get();
+  query.config = &*config;
+  query.route = "masked";
+  query.slices.push_back(
+      {SliceSource::kHost, 0, kBoundary, MaskOf(0, kBoundary, candidate)});
+  query.slices.push_back({SliceSource::kHost, kBoundary, rows - kBoundary,
+                          MaskOf(kBoundary, rows - kBoundary, candidate)});
+  ASSERT_TRUE(ExecuteScanPlan(&plan).ok());
+
+  int64_t candidates = 0;
+  int64_t matched = 0;
+  int64_t masked_matches = 0;
+  for (int64_t row = 0; row < rows; ++row) {
+    const int16_t want = full->result->GetInt16(row);
+    if (candidate(row)) {
+      ++candidates;
+      matched += want != 0;
+      EXPECT_EQ((*result)->GetInt16(row), want) << "row " << row;
+    } else {
+      masked_matches += want != 0;
+      EXPECT_EQ((*result)->GetInt16(row), 0) << "row " << row;
+    }
+  }
+  EXPECT_GT(masked_matches, 0);  // the mask really hid matching rows
+  EXPECT_EQ(query.stats.rows_scanned, candidates);
+  EXPECT_EQ(query.stats.rows_matched, matched);
+  EXPECT_EQ(query.stats.strategy, "masked");
+}
+
+TEST(CandidateMaskTest, BlocksMustCoverTheirSliceExactly) {
+  // A cached block is served, and a mask applied, only over exactly the
+  // rows it holds: a block of another extent fails the plan instead of
+  // serving rows it does not hold.
+  Hal hal(TestHal());
+  Bat input(ValueType::kString, hal.bat_allocator());
+  FillInput(&input, 4);
+  auto config = hal.CompileConfig("Strasse");
+  ASSERT_TRUE(config.ok());
+  auto three_rows = std::make_shared<CachedResultBlock>();
+  three_rows->values = {7, 0, 15};
+  three_rows->rows_matched = 2;
+  for (SliceSource source : {SliceSource::kCached, SliceSource::kHost}) {
+    ScanPlan plan;
+    plan.device = &hal.device_config();
+    ScanQuery& query = plan.queries.emplace_back();
+    ASSERT_TRUE(query.SetView(input).ok());
+    auto result = ZeroedInt16Bat(input.count());
+    ASSERT_TRUE(result.ok());
+    query.result = result->get();
+    query.config = &*config;
+    query.slices.push_back({source, 0, input.count(), three_rows});
+    EXPECT_EQ(ExecuteScanPlan(&plan).code(), StatusCode::kInternal);
+  }
+}
+
+// --- One cache contract across layers ---------------------------------------
+//
+// Every layer that scans through the result cache must return the values
+// of an uncached direct scan, keep its strategy spelling, report the rows
+// it actually scanned (cached rows do not count), and leave behind a
+// block equal to what it computed. One column, one program.
+
+constexpr char kProgram[] = "Berner.*Strasse";
+constexpr char kCoarse[] = "Berner";  // a '.*'-cut prefix of kProgram
+// 29 character matchers, over the device's 24: planned as kProgram's
+// device pre-filter plus a CPU post-process.
+constexpr char kSplit[] = "Berner.*Strasse.*back door please";
+
+std::vector<std::string> ContractRows(int rows) {
+  std::vector<std::string> out;
+  for (int i = 0; i < rows; ++i) {
+    switch (i % 8) {
+      case 0:
+      case 4: out.push_back("7 Berner Strasse|61234"); break;
+      case 1: out.push_back("12 Berner Gasse|61234"); break;
+      case 5: out.push_back("9 Berner Strasse|61234 back door please"); break;
+      case 2:
+      case 6: out.push_back("1 Haupt Strasse|99999"); break;
+      default: out.push_back("no address at all"); break;
+    }
+  }
+  return out;
+}
+
+void FillContract(Bat* input, int rows) {
+  for (const std::string& row : ContractRows(rows)) {
+    ASSERT_TRUE(input->AppendString(row).ok());
+  }
+}
+
+std::vector<int16_t> ValuesOf(const Bat& result) {
+  std::vector<int16_t> values(static_cast<size_t>(result.count()));
+  for (int64_t i = 0; i < result.count(); ++i) {
+    values[static_cast<size_t>(i)] = result.GetInt16(i);
+  }
+  return values;
+}
+
+/// The block cached for `config` over the first `rows` rows of `column`;
+/// empty when none.
+std::vector<int16_t> CachedValues(ResultCache* cache,
+                                  const RegexConfig& config,
+                                  ColumnSnapshot column, int64_t rows) {
+  CacheHit hit = ResolveCached(cache, config, column, rows, {.prefix = false});
+  if (hit.block == nullptr) return {};
+  return std::vector<int16_t>(hit.block->values.begin(),
+                              hit.block->values.end());
+}
+
+std::vector<int16_t> CachedValues(ResultCache* cache,
+                                  const RegexConfig& config,
+                                  const Bat& input) {
+  return CachedValues(cache, config, {input.id(), input.version()},
+                      input.count());
+}
+
+int64_t Nonzero(const std::vector<int16_t>& values) {
+  int64_t n = 0;
+  for (int16_t v : values) n += v != 0;
+  return n;
+}
+
+struct PathRun {
+  std::vector<int16_t> values;    // what the path returned
+  std::vector<int16_t> expected;  // an uncached direct scan
+  std::string strategy;
+  int64_t rows_scanned = 0;
+  int64_t scanned = 0;           // the rows the path had to scan
+  std::vector<int16_t> block;    // cached for the scanned program after
+  std::vector<int16_t> block_expected;
+};
+
+constexpr int kContractRows = 64;
+
+void RunSchedulerPath(QueryScheduler::Options options, bool set_member,
+                      PathRun* run) {
+  Hal hal(TestHal());
+  Bat input(ValueType::kString, hal.bat_allocator());
+  FillContract(&input, kContractRows);
+  run->expected = DirectResult(&hal, input, kProgram);
+  QueryScheduler scheduler(&hal, options);
+  auto ticket = scheduler.Submit(scheduler.CreateSession(), input, kProgram);
+  ASSERT_TRUE(ticket.ok());
+  std::optional<QueryTicket> other;
+  if (set_member) {
+    auto second = scheduler.Submit(scheduler.CreateSession(), input, "Gasse");
+    ASSERT_TRUE(second.ok());
+    other = *second;
+  }
+  auto result = scheduler.Wait(*ticket);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  if (other.has_value()) {
+    ASSERT_TRUE(scheduler.Wait(*other).ok());
+    EXPECT_EQ(result->set_width, 2);
+  }
+  run->values = ValuesOf(*result->hudf.result);
+  run->strategy = result->hudf.stats.strategy;
+  run->rows_scanned = result->hudf.stats.rows_scanned;
+  run->scanned = input.count();
+  auto config = hal.CompileConfig(kProgram);
+  ASSERT_TRUE(config.ok());
+  run->block = CachedValues(scheduler.result_cache(), *config, input);
+  run->block_expected = run->expected;
+}
+
+/// The rows a hybrid path scans.
+enum class Scanned { kAll, kNone, kAppended, kCoarseCandidates };
+
+/// Runs `pattern` through the hybrid executor with a cache that a run of
+/// `seed` (if any) filled, after `grow` more rows were appended.
+void RunHybridPath(const char* seed, int grow, const char* pattern,
+                   Scanned scanned, PathRun* run) {
+  Hal hal(TestHal());
+  Bat input(ValueType::kString, hal.bat_allocator());
+  FillContract(&input, kContractRows);
+  ResultCache cache(1 << 20);
+  if (seed != nullptr) {
+    ASSERT_TRUE(ExecuteHybrid(&hal, input, seed, {}, &cache).ok());
+  }
+  for (const std::string& row : ContractRows(grow)) {
+    ASSERT_TRUE(input.AppendString(row).ok());
+  }
+  auto plan = PlanHybrid(pattern, hal.device_config());
+  ASSERT_TRUE(plan.ok());
+  auto uncached = ExecuteHybrid(&hal, input, *plan);
+  ASSERT_TRUE(uncached.ok());
+  run->expected = ValuesOf(*uncached->result);
+  auto result = ExecuteHybrid(&hal, input, *plan, &cache);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  run->values = ValuesOf(*result->result);
+  run->strategy = result->stats.strategy;
+  run->rows_scanned = result->stats.rows_scanned;
+  // The executor caches the scan of the plan's device program: the full
+  // pattern's, or the kHybrid pre-filter's before its post-process.
+  run->block = CachedValues(&cache, *plan->fpga_config, input);
+  auto prefilter = RegexpFpga(&hal, input, *plan->fpga_config);
+  ASSERT_TRUE(prefilter.ok());
+  run->block_expected = ValuesOf(*prefilter->result);
+  switch (scanned) {
+    case Scanned::kAll: run->scanned = input.count(); break;
+    case Scanned::kNone: run->scanned = 0; break;
+    case Scanned::kAppended: run->scanned = grow; break;
+    case Scanned::kCoarseCandidates:
+      run->scanned = Nonzero(DirectResult(&hal, input, kCoarse));
+      break;
+  }
+}
+
+void RunStreamedPath(bool warm, PathRun* run) {
+  Hal hal(TestHal());
+  const std::vector<std::string> rows = ContractRows(kContractRows);
+  Bat resident(ValueType::kString, hal.bat_allocator());
+  FillContract(&resident, kContractRows);
+  run->expected = DirectResult(&hal, resident, kProgram);
+  Pager pager(hal.arena(), PagerOptions{});
+  SegmentedColumn column(&pager, 512);
+  for (const std::string& row : rows) ASSERT_TRUE(column.Append(row).ok());
+  ASSERT_TRUE(column.Seal().ok());
+  const SegmentSnapshot snapshot = column.Snapshot();
+  ASSERT_GE(snapshot.segments.size(), 2u);
+  auto config = hal.CompileConfig(kProgram);
+  ASSERT_TRUE(config.ok());
+  ResultCache cache(1 << 20);
+  StreamOptions options;
+  options.result_cache = &cache;
+  auto out = RegexpFpgaStreamed(&hal, &pager, snapshot, *config, options);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  if (warm) {
+    out = RegexpFpgaStreamed(&hal, &pager, snapshot, *config, options);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+  }
+  run->values = ValuesOf(*out->result);
+  run->strategy = out->stats.strategy;
+  run->rows_scanned = out->stats.rows_scanned;
+  run->scanned = warm ? 0 : snapshot.rows;
+  // One block per sealed segment, in segment order.
+  for (const auto& segment : snapshot.segments) {
+    const std::vector<int16_t> block = CachedValues(
+        &cache, *config, {segment->id(), Segment::kSealedVersion},
+        segment->rows());
+    run->block.insert(run->block.end(), block.begin(), block.end());
+  }
+  run->block_expected = run->expected;
+}
+
+struct CacheContractCase {
+  const char* name;
+  const char* strategy;
+  void (*run)(PathRun*);
+};
+
+void PrintTo(const CacheContractCase& c, std::ostream* os) { *os << c.name; }
+
+const CacheContractCase kContractCases[] = {
+    {"SchedulerDevice", "fpga",
+     [](PathRun* run) { RunSchedulerPath(CacheOn(), false, run); }},
+    {"SchedulerCpu", "sched_cpu",
+     [](PathRun* run) {
+       QueryScheduler::Options options;  // cost routing: 64 rows go to CPU
+       options.result_cache = true;
+       RunSchedulerPath(options, false, run);
+     }},
+    {"SchedulerSetMember", "fpga-set",
+     [](PathRun* run) {
+       QueryScheduler::Options options = CacheOn();
+       options.set_compilation = true;
+       RunSchedulerPath(options, true, run);
+     }},
+    {"HybridExactHit", "fpga-cache",
+     [](PathRun* run) {
+       RunHybridPath(kProgram, 0, kProgram, Scanned::kNone, run);
+     }},
+    {"HybridPrefixSubsumedRefine", "fpga+cache_prefilter",
+     [](PathRun* run) {
+       RunHybridPath(kCoarse, 0, kProgram, Scanned::kCoarseCandidates, run);
+     }},
+    {"HybridPartialExtent", "fpga+cache_prefix",
+     [](PathRun* run) {
+       RunHybridPath(kProgram, 8, kProgram, Scanned::kAppended, run);
+     }},
+    {"HybridPrefilter", "hybrid",
+     [](PathRun* run) {
+       RunHybridPath(nullptr, 0, kSplit, Scanned::kAll, run);
+     }},
+    {"HybridCachedPrefilter", "hybrid+cache_prefilter",
+     [](PathRun* run) {
+       RunHybridPath(kSplit, 0, kSplit, Scanned::kNone, run);
+     }},
+    {"StreamedPerSegment", "fpga-streamed",
+     [](PathRun* run) { RunStreamedPath(false, run); }},
+    {"StreamedCachedSegments", "fpga-streamed",
+     [](PathRun* run) { RunStreamedPath(true, run); }},
+};
+
+class CacheContractTest
+    : public ::testing::TestWithParam<CacheContractCase> {};
+
+TEST_P(CacheContractTest, ServesLikeAnUncachedScan) {
+  PathRun run;
+  GetParam().run(&run);
+  if (HasFatalFailure()) return;
+  EXPECT_EQ(run.values, run.expected);
+  EXPECT_EQ(run.strategy, GetParam().strategy);
+  EXPECT_EQ(run.rows_scanned, run.scanned);
+  EXPECT_EQ(run.block, run.block_expected);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Paths, CacheContractTest, ::testing::ValuesIn(kContractCases),
+    [](const ::testing::TestParamInfo<CacheContractCase>& info) {
+      return std::string(info.param.name);
+    });
 
 // --- ProgramCache accounting (evict-mid-wave regression) --------------------
 

@@ -540,30 +540,6 @@ TEST(RoutingTest, OverflowPatternsRouteToCpuDfa) {
   EXPECT_EQ(result->hudf.stats.rows_matched, expected_matches);
 }
 
-// --- Admission gate into the hybrid executor --------------------------------
-
-TEST(GateTest, HybridExecutorThroughSchedulerMatchesDirect) {
-  Hal hal(TestHal());
-  Bat input(ValueType::kString, hal.bat_allocator());
-  FillInput(&input, 64);
-
-  auto direct = ExecuteHybrid(&hal, input, "Strasse");
-  ASSERT_TRUE(direct.ok());
-  ASSERT_EQ(direct->strategy, HybridStrategy::kFpgaOnly);
-
-  QueryScheduler scheduler(&hal, NoRouting());
-  Session* session = scheduler.CreateSession();
-  QueryScheduler::Gate gate(&scheduler, session);
-  auto gated = ExecuteHybrid(&hal, input, "Strasse", {}, &gate);
-  ASSERT_TRUE(gated.ok()) << gated.status().ToString();
-  EXPECT_EQ(gated->strategy, HybridStrategy::kFpgaOnly);
-  ASSERT_EQ(direct->result->count(), gated->result->count());
-  for (int64_t i = 0; i < direct->result->count(); ++i) {
-    EXPECT_EQ(direct->result->GetInt16(i), gated->result->GetInt16(i));
-  }
-  EXPECT_EQ(session->admitted(), 1);
-}
-
 // --- Program cache (LRU) ----------------------------------------------------
 
 TEST(ProgramCacheTest, LruEvictionOrder) {

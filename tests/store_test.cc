@@ -502,8 +502,6 @@ TEST_F(StreamTest, PerSegmentCacheSkipsHitWindows) {
   sched::ResultCache cache(8 << 20);
   StreamOptions sopts;
   sopts.result_cache = &cache;
-  const std::vector<uint8_t>& fp = config->vector.bytes();
-  sopts.fingerprint.assign(fp.begin(), fp.end());
 
   auto cold = RegexpFpgaStreamed(&hal, &pager, snapshot, *config, sopts);
   ASSERT_TRUE(cold.ok());
