@@ -20,20 +20,6 @@ int64_t ValueTypeWidth(ValueType type) {
   return 0;
 }
 
-const char* ValueTypeName(ValueType type) {
-  switch (type) {
-    case ValueType::kInt32:
-      return "int";
-    case ValueType::kInt64:
-      return "bigint";
-    case ValueType::kInt16:
-      return "short";
-    case ValueType::kString:
-      return "varchar";
-  }
-  return "?";
-}
-
 namespace {
 /// Process-wide column-identity source (never 0, never reused).
 std::atomic<uint64_t> next_column_id{1};

@@ -27,7 +27,6 @@ enum class ValueType : int {
 };
 
 int64_t ValueTypeWidth(ValueType type);
-const char* ValueTypeName(ValueType type);
 
 /// Draws the next process-unique column identity (never 0, never reused).
 /// Shared by Bat and store::SegmentedColumn so ids from either family can
@@ -91,7 +90,6 @@ class Bat {
   uint8_t* mutable_tail_data() { return tail_.data(); }
   int64_t tail_bytes() const { return tail_.size(); }
   const StringHeap* heap() const { return heap_.get(); }
-  StringHeap* mutable_heap() { return heap_.get(); }
   /// Offset width in bytes as passed in the FPGA job parameters.
   int64_t offset_width() const { return sizeof(uint32_t); }
 

@@ -103,13 +103,6 @@ class Buffer {
     return Status::OK();
   }
 
-  /// Sets the logical size (must be within capacity).
-  Status Resize(int64_t bytes) {
-    DOPPIO_RETURN_NOT_OK(Reserve(bytes));
-    size_ = bytes;
-    return Status::OK();
-  }
-
   uint8_t* data() { return data_; }
   const uint8_t* data() const { return data_; }
   int64_t size() const { return size_; }

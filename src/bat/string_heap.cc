@@ -25,7 +25,6 @@ Result<uint32_t> StringHeap::Append(std::string_view value) {
   if (misalign != 0) {
     DOPPIO_RETURN_NOT_OK(data_.AppendZeros(kHeapAlignment - misalign));
   }
-  ++string_count_;
   return static_cast<uint32_t>(offset);
 }
 

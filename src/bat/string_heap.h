@@ -41,14 +41,12 @@ class StringHeap {
 
   const uint8_t* data() const { return data_.data(); }
   int64_t size_bytes() const { return data_.size(); }
-  int64_t string_count() const { return string_count_; }
 
   /// Pre-reserves heap space for bulk loads.
   Status Reserve(int64_t bytes) { return data_.Reserve(bytes); }
 
  private:
   Buffer data_;
-  int64_t string_count_ = 0;
 };
 
 }  // namespace doppio

@@ -53,11 +53,6 @@ double Rng::UniformDouble() {
   return static_cast<double>(Next() >> 11) * 0x1.0p-53;
 }
 
-std::string Rng::AsciiLower(size_t length) {
-  static const std::string kAlphabet = "abcdefghijklmnopqrstuvwxyz";
-  return FromAlphabet(kAlphabet, length);
-}
-
 std::string Rng::FromAlphabet(const std::string& alphabet, size_t length) {
   std::string out;
   out.reserve(length);

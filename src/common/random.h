@@ -27,9 +27,6 @@ class Rng {
   /// True with probability p.
   bool Bernoulli(double p) { return UniformDouble() < p; }
 
-  /// Random lowercase ASCII string of the given length.
-  std::string AsciiLower(size_t length);
-
   /// Random string drawn from the given alphabet.
   std::string FromAlphabet(const std::string& alphabet, size_t length);
 

@@ -70,7 +70,6 @@ class SimScheduler {
   }
 
   bool empty() const { return queue_.empty(); }
-  size_t pending_events() const { return queue_.size(); }
 
  private:
   struct Event {

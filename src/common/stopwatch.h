@@ -20,12 +20,6 @@ class Stopwatch {
         .count();
   }
 
-  int64_t ElapsedNanos() const {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               std::chrono::steady_clock::now() - start_)
-        .count();
-  }
-
  private:
   std::chrono::steady_clock::time_point start_;
 };

@@ -16,8 +16,4 @@ inline constexpr int64_t kGB = 1000 * 1000 * 1000;
 /// One CPU-FPGA cache line as seen by the QPI endpoint: 512 bits.
 inline constexpr int64_t kCacheLineBytes = 64;
 
-inline constexpr double GBps(double gigabytes_per_second) {
-  return gigabytes_per_second * 1e9;
-}
-
 }  // namespace doppio

@@ -170,6 +170,7 @@ Result<std::vector<uint8_t>> ColumnStoreEngine::EvalStringFilter(
     }
   }
 
+  QueryStats own;  // this predicate's stats, merged into `stats` below
   Stopwatch watch;
   Result<std::vector<uint8_t>> result = [&]() {
     switch (effective.op) {
@@ -179,7 +180,7 @@ Result<std::vector<uint8_t>> ColumnStoreEngine::EvalStringFilter(
         return EvalRegexp(column, effective);
       case StringFilterSpec::Op::kRegexpFpga:
       case StringFilterSpec::Op::kHybrid:
-        return EvalFpga(column, effective, planned, stats);
+        return EvalFpga(column, effective, planned, &own);
       case StringFilterSpec::Op::kContains:
         return EvalContains(column, effective);
       case StringFilterSpec::Op::kAuto:
@@ -192,34 +193,34 @@ Result<std::vector<uint8_t>> ColumnStoreEngine::EvalStringFilter(
 
   const int64_t matched = FinishSelection(spec.negated, &*result);
   if (stats != nullptr) {
-    stats->rows_scanned += column.count();
-    stats->rows_matched += matched;
-    const bool was_auto = spec.op == StringFilterSpec::Op::kAuto;
+    own.rows_scanned = column.count();
+    own.rows_matched = matched;
     // FPGA strategies fill their own phase breakdown in EvalFpga; the
     // software paths charge the database phase, and a plan the cost model
     // read but did not run to the config phase.
-    std::string strategy = stats->strategy;
     if (effective.op == StringFilterSpec::Op::kLike ||
         effective.op == StringFilterSpec::Op::kRegexpLike ||
         effective.op == StringFilterSpec::Op::kContains) {
-      stats->database_seconds += watch.ElapsedSeconds();
+      own.database_seconds = watch.ElapsedSeconds();
       if (planned != nullptr) {
-        stats->config_gen_seconds += planned->compile_seconds;
+        own.config_gen_seconds = planned->compile_seconds;
       }
       switch (effective.op) {
         case StringFilterSpec::Op::kLike:
-          strategy = spec.case_insensitive ? "ilike" : "like";
+          own.strategy = spec.case_insensitive ? "ilike" : "like";
           break;
         case StringFilterSpec::Op::kRegexpLike:
-          strategy = "regexp_like";
+          own.strategy = "regexp_like";
           break;
         default:
-          strategy = "contains";
+          own.strategy = "contains";
           break;
       }
-      stats->strategy = strategy;
     }
-    if (was_auto) stats->strategy = "auto->" + stats->strategy;
+    if (spec.op == StringFilterSpec::Op::kAuto) {
+      own.strategy = "auto->" + own.strategy;
+    }
+    stats->Accumulate(own);
   }
   return result;
 }
@@ -341,7 +342,7 @@ Result<std::vector<uint8_t>> ColumnStoreEngine::EvalFpga(
   } else {
     // REGEXP_FPGA compiles its pattern here; REGEXP_AUTO runs the config
     // its plan already holds.
-    Result<RegexConfig> compiled = Status::OK();
+    std::optional<Result<RegexConfig>> compiled;
     const RegexConfig* config = nullptr;
     if (plan != nullptr) {
       config = &*plan->fpga_config;
@@ -349,14 +350,14 @@ Result<std::vector<uint8_t>> ColumnStoreEngine::EvalFpga(
       CompileOptions copts;
       copts.case_insensitive = spec.case_insensitive;
       compiled = options_.hal->CompileConfig(spec.pattern, copts);
-      if (compiled.ok()) config = &*compiled;
+      if (compiled->ok()) config = &**compiled;
     }
     // The engine-side HUDF partitions one query's data across all Regex
     // Engines (paper §7.5).
     Result<HudfResult> hw =
         config != nullptr
             ? RegexpFpgaPartitioned(options_.hal, column, *config)
-            : Result<HudfResult>(compiled.status());
+            : Result<HudfResult>(compiled->status());
     if (hw.ok()) {
       result = std::move(hw->result);
       local = hw->stats;
@@ -380,21 +381,15 @@ Result<std::vector<uint8_t>> ColumnStoreEngine::EvalFpga(
     Stopwatch sw_watch;
     DOPPIO_ASSIGN_OR_RETURN(std::vector<uint8_t> bits,
                             EvalRegexp(column, spec));
-    if (stats != nullptr) {
-      QueryStats degraded;
-      degraded.strategy = "fpga+sw_fallback";
-      degraded.udf_software_seconds = sw_watch.ElapsedSeconds();
-      degraded.fallback_rows = column.count();
-      stats->Accumulate(degraded);
-    }
+    stats->strategy = "fpga+sw_fallback";
+    stats->udf_software_seconds = sw_watch.ElapsedSeconds();
+    stats->fallback_rows = column.count();
     return bits;
   }
-  if (stats != nullptr) {
-    // Do not double count volumes; phases only.
-    local.rows_scanned = 0;
-    local.rows_matched = 0;
-    stats->Accumulate(local);
-  }
+  // Phases only: EvalStringFilter counts the volumes.
+  local.rows_scanned = 0;
+  local.rows_matched = 0;
+  *stats = std::move(local);
   return MatchesToSelection(*result, column.count());
 }
 
@@ -573,14 +568,12 @@ Result<std::vector<uint8_t>> ColumnStoreEngine::EvalSegmentedFilter(
   std::vector<uint8_t> bits = MatchesToSelection(*hw.result, snapshot.rows);
   const int64_t matched = FinishSelection(spec.negated, &bits);
   if (stats != nullptr) {
-    hw.stats.rows_scanned = 0;  // volumes counted once, below
-    hw.stats.rows_matched = 0;
-    stats->Accumulate(hw.stats);
-    stats->rows_scanned += snapshot.rows;
-    stats->rows_matched += matched;
+    hw.stats.rows_scanned = snapshot.rows;
+    hw.stats.rows_matched = matched;
     if (spec.op == StringFilterSpec::Op::kAuto) {
-      stats->strategy = "auto->" + stats->strategy;
+      hw.stats.strategy = "auto->" + hw.stats.strategy;
     }
+    stats->Accumulate(hw.stats);
   }
   return bits;
 }

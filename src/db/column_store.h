@@ -187,6 +187,7 @@ class ColumnStoreEngine {
                                           const StringFilterSpec& spec);
   /// kRegexpFpga or kHybrid. `plan` is the spec's compiled plan:
   /// required for kHybrid; for kRegexpFpga, null compiles the pattern.
+  /// Fills `stats` (the predicate's own) with phases and strategy.
   Result<std::vector<uint8_t>> EvalFpga(const Bat& column,
                                         const StringFilterSpec& spec,
                                         const struct HybridPlan* plan,

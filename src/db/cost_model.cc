@@ -106,30 +106,6 @@ double OperatorCostModel::PredictFpga(const RegexConfig& /*config*/,
       .seconds;
 }
 
-double OperatorCostModel::PredictFpgaStreamed(const RegexConfig& config,
-                                              const TableStats& stats,
-                                              int windows,
-                                              int64_t resident_bytes,
-                                              bool overlap) const {
-  if (windows <= 0) windows = 1;
-  const double scan = PredictFpga(config, stats);
-  // Payload = offsets + heap, exactly what the pager moves per window.
-  const int64_t payload =
-      stats.rows * 4 + stats.heap_bytes;
-  const int64_t paged = std::max<int64_t>(0, payload - resident_bytes);
-  const double d_w = scan / static_cast<double>(windows);
-  const double t_w =
-      paged > 0 ? TransferSeconds(device_, paged / windows) : 0.0;
-  if (!overlap) {
-    return scan + t_w * static_cast<double>(windows);
-  }
-  // Uniform-window closed form of the double-buffering recurrence: the
-  // first transfer and last execution are exposed, every other window
-  // hides the smaller of (transfer, execute) behind the larger.
-  return t_w + d_w +
-         static_cast<double>(windows - 1) * std::max(t_w, d_w);
-}
-
 double OperatorCostModel::PredictHybrid(const HybridPlan& plan,
                                         const TableStats& stats,
                                         double prefix_selectivity) const {

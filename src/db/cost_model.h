@@ -62,18 +62,6 @@ class OperatorCostModel {
   /// the pattern is known to fit; the hardware's cost does not depend on
   /// its complexity (paper §5, property II).
   double PredictFpga(const RegexConfig& config, const TableStats& stats) const;
-  /// Segment-aware prediction for the out-of-core streaming executor
-  /// (docs/STORAGE.md): the column is scanned in `windows` equal
-  /// segment-windows, each paying a modeled QPI transfer for the bytes
-  /// not already resident (`resident_bytes` of the payload are pinned
-  /// and transfer-free). With `overlap` the double-buffering recurrence
-  /// hides the smaller of transfer/execute per window; without it the
-  /// windows are serial page-then-scan. `windows` <= 1 and everything
-  /// resident degenerates to PredictFpga exactly.
-  double PredictFpgaStreamed(const RegexConfig& config,
-                             const TableStats& stats, int windows,
-                             int64_t resident_bytes = 0,
-                             bool overlap = true) const;
   /// `plan`: the pattern planned against the deployed geometry.
   /// `prefix_selectivity`: expected fraction the CPU post-processes.
   double PredictHybrid(const HybridPlan& plan, const TableStats& stats,

@@ -33,19 +33,20 @@ obs::Histogram& BackoffHistogram() {
   return *h;
 }
 
+constexpr double kBackoffBaseSec = 25e-6;
+constexpr double kBackoffMultiplier = 2.0;
+
 /// Backoff for the next resubmission: base × multiplier^(backoffs so far).
-SimTime NextBackoffPicos(const RetryPolicy& policy,
-                         const JobOutcome& outcome) {
+SimTime NextBackoffPicos(const JobOutcome& outcome) {
   const double seconds =
-      policy.backoff_base_sec *
-      std::pow(policy.backoff_multiplier,
+      kBackoffBaseSec *
+      std::pow(kBackoffMultiplier,
                static_cast<double>(outcome.backoffs.size()));
   return PicosFromSeconds(seconds);
 }
 
-void BackOff(FpgaDevice* device, const RetryPolicy& policy,
-             JobOutcome* outcome) {
-  const SimTime backoff = NextBackoffPicos(policy, *outcome);
+void BackOff(FpgaDevice* device, JobOutcome* outcome) {
+  const SimTime backoff = NextBackoffPicos(*outcome);
   outcome->backoffs.push_back(backoff);
   BackoffHistogram().Observe(SecondsFromPicos(backoff));
   device->AdvanceVirtualTime(backoff);
@@ -95,7 +96,7 @@ Result<FpgaJob> SubmitJobWithRetry(FpgaDevice* device,
       outcome->final_status = st;
       return st;
     }
-    BackOff(device, policy, outcome);
+    BackOff(device, outcome);
     ++outcome->retries;
     RetriesCounter().Add();
   }
@@ -139,7 +140,7 @@ Status AwaitJobWithRecovery(FpgaDevice* device, FpgaJob* job,
       outcome->final_status = st;
       return st;
     }
-    BackOff(device, policy, outcome);
+    BackOff(device, outcome);
     ++outcome->retries;
     RetriesCounter().Add();
     Result<FpgaJob> retry =

@@ -5,7 +5,8 @@
 // query. This layer bounds that wait: each attempt gets a deadline derived
 // from the analytic performance model's expected job time (× a slack
 // factor), and an expired or lost attempt is cancelled and resubmitted
-// with exponential backoff, up to a bounded retry budget. Callers
+// with exponential backoff (25 us, doubling per resubmission), up to a
+// bounded retry budget. Callers
 // (db/hudf.cc) degrade to the software matchers when the budget is
 // exhausted, so no single simulated-device fault can hang or fail a query
 // the CPU can still answer.
@@ -38,10 +39,6 @@ struct RetryPolicy {
   /// Floor on the per-attempt budget (covers tiny jobs whose modeled time
   /// is dwarfed by fixed overheads and injected delays).
   double min_deadline_sec = 500e-6;
-
-  /// Exponential backoff between attempts, in virtual time.
-  double backoff_base_sec = 25e-6;
-  double backoff_multiplier = 2.0;
 };
 
 /// What happened to one logical job across all of its attempts.

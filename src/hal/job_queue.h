@@ -52,9 +52,6 @@ class SharedJobQueue {
            tail_->load(std::memory_order_acquire);
   }
   int capacity() const { return capacity_; }
-  int64_t total_pushed() const {
-    return head_->load(std::memory_order_relaxed);
-  }
   /// Base address of the ring storage (published through the DSM).
   const void* ring_address() const { return slots_; }
 

@@ -1,5 +1,7 @@
 #include "hw/arbiter.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 #include "obs/metrics.h"
 
@@ -15,17 +17,13 @@ obs::Counter& LinesTransferredCounter() {
 }  // namespace
 
 Arbiter::Arbiter(QpiLink* link, int num_engines, int batch_lines)
-    : link_(link),
-      batch_lines_(batch_lines),
-      engine_lines_(static_cast<size_t>(num_engines), 0) {
+    : link_(link), num_engines_(num_engines), batch_lines_(batch_lines) {
   DOPPIO_CHECK(link != nullptr);
   DOPPIO_CHECK(batch_lines >= 1);
 }
 
 SimTime Arbiter::Transfer(int engine_id, SimTime now, int64_t lines) {
-  DOPPIO_CHECK(engine_id >= 0 &&
-               engine_id < static_cast<int>(engine_lines_.size()));
-  engine_lines_[static_cast<size_t>(engine_id)] += lines;
+  DOPPIO_CHECK(engine_id >= 0 && engine_id < num_engines_);
   LinesTransferredCounter().Add(lines);
   SimTime completion = now;
   int64_t remaining = lines;

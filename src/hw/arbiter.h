@@ -4,12 +4,11 @@
 // scheduling their mostly-sequential reads/writes in batches ("the batch
 // size of 16 is small enough to ensure good throughput without increasing
 // memory access latency too much"). Engines never talk to the QPI link
-// directly — all traffic flows through here, which is also where per-engine
-// traffic statistics live.
+// directly — all traffic flows through here, which is also where the
+// link's traffic is counted.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "common/macros.h"
 #include "common/sim_scheduler.h"
@@ -32,15 +31,12 @@ class Arbiter {
     return link_->EngineReady(engine_id);
   }
 
-  int64_t engine_lines(int engine_id) const {
-    return engine_lines_[static_cast<size_t>(engine_id)];
-  }
   int batch_lines() const { return batch_lines_; }
 
  private:
   QpiLink* link_;
+  int num_engines_;
   int batch_lines_;
-  std::vector<int64_t> engine_lines_;
 };
 
 }  // namespace doppio

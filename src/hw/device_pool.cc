@@ -134,13 +134,4 @@ int64_t DevicePool::steals_out(int i) const {
   return devices_[static_cast<size_t>(i)]->steals_out->Value();
 }
 
-std::string DevicePool::UtilizationSummary() const {
-  std::string out;
-  for (int i = 0; i < size(); ++i) {
-    out += "device " + std::to_string(i) + ":\n";
-    out += devices_[static_cast<size_t>(i)]->device->UtilizationSummary();
-  }
-  return out;
-}
-
 }  // namespace doppio

@@ -124,9 +124,6 @@ class DevicePool {
   int64_t steals_in(int i) const;
   int64_t steals_out(int i) const;
 
-  /// Per-device utilization summaries, one block per device.
-  std::string UtilizationSummary() const;
-
  private:
   struct PerDevice {
     std::unique_ptr<FpgaDevice> device;

@@ -1,7 +1,5 @@
 #include "hw/fpga_device.h"
 
-#include <cstdio>
-
 #include "common/logging.h"
 #include "hw/config_vector.h"
 #include "obs/metrics.h"
@@ -59,35 +57,6 @@ FpgaDevice::FpgaDevice(const DeviceConfig& config, SharedArena* arena,
   }
   distributor_ = std::make_unique<JobDistributor>(
       &scheduler_, config_, std::move(raw), std::move(*queue));
-}
-
-void FpgaDevice::EnableTrace(TraceLog* trace) {
-  distributor_->set_trace(trace);
-  for (auto& engine : engines_) engine->set_trace(trace);
-}
-
-std::string FpgaDevice::UtilizationSummary() const {
-  std::string out;
-  const double total = SecondsFromPicos(scheduler_.now());
-  for (size_t i = 0; i < engines_.size(); ++i) {
-    const EngineStats& stats = engines_[i]->stats();
-    char line[160];
-    std::snprintf(line, sizeof(line),
-                  "engine %zu: %lld jobs, %.1f MB streamed, %.1f%% busy\n",
-                  i, static_cast<long long>(stats.jobs_executed),
-                  static_cast<double>(stats.bytes_streamed) / 1e6,
-                  total > 0
-                      ? 100.0 * SecondsFromPicos(stats.busy_time) / total
-                      : 0.0);
-    out += line;
-  }
-  char qpi_line[120];
-  std::snprintf(qpi_line, sizeof(qpi_line),
-                "qpi: %.1f MB total, %.2f GB/s achieved\n",
-                static_cast<double>(qpi_.total_bytes()) / 1e6,
-                qpi_.AchievedBytesPerSec(scheduler_.now()) / 1e9);
-  out += qpi_line;
-  return out;
 }
 
 void FpgaDevice::PublishDsm(DeviceStatusMemory* dsm) {

@@ -10,7 +10,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -64,13 +63,6 @@ class FpgaDevice {
   /// Device Status Memory and attaches it for diagnostics mirroring.
   void PublishDsm(DeviceStatusMemory* dsm);
 
-  /// Streams scheduling/traffic events into `trace` from now on (null
-  /// disables). The log lives with the caller.
-  void EnableTrace(TraceLog* trace);
-
-  /// Per-engine utilization summary over [0, now()].
-  std::string UtilizationSummary() const;
-
   /// Status block of a job; valid until the job is reclaimed, null for an
   /// unknown or reclaimed id.
   JobStatus* status(JobId id);
@@ -105,7 +97,6 @@ class FpgaDevice {
   int device_id() const { return device_id_; }
   const DeviceConfig& config() const { return config_; }
   const QpiLink& qpi() const { return qpi_; }
-  const RegexEngine& engine(int i) const { return *engines_[i]; }
   JobDistributor* distributor() { return distributor_.get(); }
 
  private:

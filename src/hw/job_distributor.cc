@@ -81,11 +81,6 @@ Status JobDistributor::Enqueue(JobParams* params, JobStatus* status,
   if (on_release) on_release_[descriptor.job_id] = std::move(on_release);
   JobsEnqueuedCounter().Add();
   QueueDepthHistogram().Observe(static_cast<double>(queue_->Size()));
-  if (trace_ != nullptr) {
-    trace_->Record(TraceEvent{scheduler_->now(),
-                              TraceEvent::Kind::kJobEnqueued,
-                              descriptor.job_id, -1, 0});
-  }
   // The hardware polls the shared-memory queue; model that small delay.
   scheduler_->ScheduleAfter(PicosFromSeconds(device_.job_poll_sec),
                             [this] { TryDispatch(); });
@@ -132,20 +127,10 @@ void JobDistributor::TryDispatch() {
     status->dispatch_time = scheduler_->now();
 
     const uint64_t id = descriptor.job_id;
-    if (trace_ != nullptr) {
-      trace_->Record(TraceEvent{scheduler_->now(),
-                                TraceEvent::Kind::kJobDispatched, id,
-                                engine->id(), 0});
-    }
-    Status st = engine->Start(params, status, [this, id, engine, status] {
+    Status st = engine->Start(params, status, [this, id, status] {
       const bool dropped =
           (status->fault_flags.load(std::memory_order_acquire) &
            kJobFaultDropped) != 0;
-      if (trace_ != nullptr && !dropped) {
-        trace_->Record(TraceEvent{scheduler_->now(),
-                                  TraceEvent::Kind::kJobDone, id,
-                                  engine->id(), 0});
-      }
       // A dropped job never sets its done bit — the caller sees it only
       // through the missing done bit.
       Release(id, /*done=*/!dropped);

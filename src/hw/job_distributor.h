@@ -15,7 +15,6 @@
 #include "hal/job_queue.h"
 #include "hw/job.h"
 #include "hw/regex_engine.h"
-#include "hw/trace.h"
 
 namespace doppio {
 
@@ -45,9 +44,6 @@ class JobDistributor {
   /// established.
   void AttachDsm(DeviceStatusMemory* dsm);
 
-  /// Records scheduling events into `trace` (may be null to disable).
-  void set_trace(TraceLog* trace) { trace_ = trace; }
-
   const SharedJobQueue& queue() const { return *queue_; }
   int64_t jobs_dispatched() const { return jobs_dispatched_; }
 
@@ -65,7 +61,6 @@ class JobDistributor {
   uint64_t next_job_id_ = 1;
   int64_t jobs_dispatched_ = 0;
   DeviceStatusMemory* dsm_ = nullptr;
-  TraceLog* trace_ = nullptr;
 };
 
 }  // namespace doppio

@@ -101,7 +101,6 @@ class BackendRegistry {
   static const BackendRegistry& Global();
 
   const KernelBackend& Get(BackendId id) const;
-  const std::vector<const KernelBackend*>& backends() const { return list_; }
 
   /// The host backend that will run this program: the forced host
   /// backend when DOPPIO_FORCE_BACKEND names one, else cpu-simd when it

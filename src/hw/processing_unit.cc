@@ -23,14 +23,12 @@ void ProcessingUnit::Configure(
              : nullptr;
   progress_.assign(program_->edges().size(), 0);
   const int k = program_->num_patterns();
-  match_indexes_.assign(static_cast<size_t>(k), 0);
   all_streams_ = k >= 64 ? ~uint64_t{0} : (uint64_t{1} << k) - 1;
   StartString();
 }
 
 void ProcessingUnit::StartString() {
   std::fill(progress_.begin(), progress_.end(), 0);
-  std::fill(match_indexes_.begin(), match_indexes_.end(), 0);
   active_ = 0;
   position_ = 0;
   match_index_ = 0;
@@ -66,7 +64,6 @@ void ProcessingUnit::ConsumeByte(uint8_t byte) {
     for (int p = 0; p < program_->num_patterns(); ++p) {
       if ((matched_streams_ & (uint64_t{1} << p)) != 0) continue;
       if ((active_ & program_->pattern_accept_mask(p)) != 0) {
-        match_indexes_[static_cast<size_t>(p)] = index;
         matched_streams_ |= uint64_t{1} << p;
       }
     }
@@ -169,8 +166,7 @@ uint16_t ProcessingUnit::ProcessString(std::string_view input) {
       match_index_ = RunNfaLoop(input);
       break;
   }
-  if (program_->num_patterns() == 1 && !match_indexes_.empty()) {
-    match_indexes_[0] = match_index_;
+  if (program_->num_patterns() == 1) {
     matched_streams_ = match_index_ != 0 ? 1 : 0;
   }
   // The real PU streams every byte of the string at its constant one
@@ -203,7 +199,6 @@ void ProcessingUnit::ProcessStringSet(std::string_view input,
   }
   uint16_t first = 0;
   for (int p = 0; p < num_patterns; ++p) {
-    match_indexes_[static_cast<size_t>(p)] = match[p];
     if (match[p] != 0 && (first == 0 || match[p] < first)) first = match[p];
     if (match[p] != 0) matched_streams_ |= uint64_t{1} << p;
   }

@@ -58,12 +58,6 @@ class ProcessingUnit {
   /// first match's last character, or 0. Saturates at 65535 for longer
   /// strings (the hardware result lane is 16 bits wide).
   uint16_t MatchIndex() const { return match_index_; }
-  bool Matched() const { return match_index_ != 0; }
-
-  /// Per-stream match indexes of a set-compiled program (index =
-  /// pattern_tag; size = num_patterns). Each stream saturates at 65535
-  /// independently. For single-pattern programs this is {MatchIndex()}.
-  const std::vector<uint16_t>& MatchIndexes() const { return match_indexes_; }
 
   /// Convenience: full string through the PU. Dispatches to the compiled
   /// kernel; the result and the cycle count are identical to a
@@ -105,7 +99,6 @@ class ProcessingUnit {
   uint64_t active_ = 0;                // active states bitmask
   int64_t position_ = 0;
   uint16_t match_index_ = 0;
-  std::vector<uint16_t> match_indexes_;  // per output stream
   uint64_t matched_streams_ = 0;         // streams already latched
   uint64_t all_streams_ = 1;             // (1 << num_patterns) - 1
 

@@ -43,7 +43,6 @@ class QpiLink {
   int64_t total_bytes() const { return total_lines_ * kCacheLineBytes; }
   /// Virtual time during which the link was actively moving lines.
   SimTime busy_time() const { return busy_time_; }
-  SimTime busy_until() const { return link_busy_until_; }
 
   /// Achieved bandwidth over [0, end].
   double AchievedBytesPerSec(SimTime end) const {

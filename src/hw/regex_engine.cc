@@ -220,10 +220,6 @@ void RegexEngine::ScheduleNextChunk(size_t chunk_index) {
   const Chunk& chunk = chunks_[chunk_index];
   SimTime now = scheduler_->now();
   SimTime done = arbiter_->Transfer(id_, now, chunk.lines);
-  if (trace_ != nullptr) {
-    trace_->Record(TraceEvent{now, TraceEvent::Kind::kChunkTransferred,
-                              status_->queue_job_id, id_, chunk.lines});
-  }
 
   // PUs consume the payload at 1 byte/cycle each once its data arrived.
   if (chunk.pu_bytes > 0) {
@@ -278,10 +274,6 @@ void RegexEngine::Finalize() {
          heap_lines) *
         kCacheLineBytes;
 
-    stats_.jobs_executed += 1;
-    stats_.strings_processed += params->count;
-    stats_.bytes_streamed += status->bytes_streamed;
-    stats_.busy_time += status->finish_time - status->start_time;
     metric_jobs_->Add();
     metric_bytes_->Add(status->bytes_streamed);
 

@@ -26,17 +26,9 @@
 #include "hw/arbiter.h"
 #include "hw/device_config.h"
 #include "hw/job.h"
-#include "hw/trace.h"
 #include "obs/metrics.h"
 
 namespace doppio {
-
-struct EngineStats {
-  int64_t jobs_executed = 0;
-  int64_t strings_processed = 0;
-  int64_t bytes_streamed = 0;
-  SimTime busy_time = 0;
-};
 
 class RegexEngine {
  public:
@@ -55,11 +47,6 @@ class RegexEngine {
   /// which point `on_done` fires (on the scheduler).
   Status Start(JobParams* params, JobStatus* status,
                std::function<void()> on_done);
-
-  const EngineStats& stats() const { return stats_; }
-
-  /// Records per-chunk traffic events (may be null to disable).
-  void set_trace(TraceLog* trace) { trace_ = trace; }
 
   /// Strings-per-host-thread threshold above which the functional pass
   /// parallelizes.
@@ -101,9 +88,6 @@ class RegexEngine {
   std::vector<BlockTiming> blocks_;
   std::vector<Chunk> chunks_;
   SimTime pu_done_ = 0;
-
-  EngineStats stats_;
-  TraceLog* trace_ = nullptr;
 
   // Per-engine instruments, resolved once at construction ("doppio.engine.
   // <id>.*"); updates are a single relaxed RMW per completed job.

@@ -55,9 +55,6 @@ class SharedArena {
 
   int64_t capacity_bytes() const { return num_pages_ * kSharedPageBytes; }
   int64_t allocated_bytes() const;
-  /// Bytes not currently handed out (free pages may still be fragmented;
-  /// a contiguous AllocatePages of this size can fail).
-  int64_t free_bytes() const { return capacity_bytes() - allocated_bytes(); }
   int64_t num_pages() const { return num_pages_; }
 
   /// The page table the simulated FPGA uses for address translation.

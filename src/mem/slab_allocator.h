@@ -48,9 +48,6 @@ class SlabAllocator {
   int64_t ClassForSize(int64_t bytes) const;
 
   SlabStats stats() const;
-  int64_t num_size_classes() const {
-    return static_cast<int64_t>(class_sizes_.size());
-  }
 
  private:
   struct Allocation {

@@ -100,15 +100,6 @@ JsonWriter& JsonWriter::Int(int64_t value) {
   return *this;
 }
 
-JsonWriter& JsonWriter::UInt(uint64_t value) {
-  MaybeComma();
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%llu",
-                static_cast<unsigned long long>(value));
-  out_ += buf;
-  return *this;
-}
-
 JsonWriter& JsonWriter::Double(double value) {
   MaybeComma();
   value = FiniteOr(value);

@@ -40,7 +40,6 @@ class JsonWriter {
 
   JsonWriter& String(std::string_view value);
   JsonWriter& Int(int64_t value);
-  JsonWriter& UInt(uint64_t value);
   JsonWriter& Double(double value);  // non-finite values emit 0
   JsonWriter& Bool(bool value);
   JsonWriter& Null();

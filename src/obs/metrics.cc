@@ -129,43 +129,6 @@ Histogram* MetricsRegistry::GetHistogram(std::string_view name,
   return raw;
 }
 
-std::string MetricsRegistry::TextDump() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::string out;
-  for (const auto& [name, entry] : entries_) {
-    switch (entry.kind) {
-      case Kind::kCounter:
-        out += name + " " + std::to_string(entry.counter->Value()) + "\n";
-        break;
-      case Kind::kGauge:
-        out += name + " " + std::to_string(entry.gauge->Value()) + "\n";
-        break;
-      case Kind::kHistogram: {
-        const Histogram& h = *entry.histogram;
-        out += name + " count=" + std::to_string(h.TotalCount());
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), " sum=%.6g", FiniteOr(h.Sum()));
-        out += buf;
-        const auto counts = h.BucketCounts();
-        const auto& bounds = h.bounds();
-        for (size_t i = 0; i < counts.size(); ++i) {
-          if (counts[i] == 0) continue;
-          if (i < bounds.size()) {
-            std::snprintf(buf, sizeof(buf), " le%.4g=", bounds[i]);
-          } else {
-            std::snprintf(buf, sizeof(buf), " le_inf=");
-          }
-          out += buf;
-          out += std::to_string(counts[i]);
-        }
-        out += "\n";
-        break;
-      }
-    }
-  }
-  return out;
-}
-
 std::string MetricsRegistry::ToJson() const {
   std::lock_guard<std::mutex> lock(mutex_);
   JsonWriter w;

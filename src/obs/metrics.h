@@ -7,7 +7,7 @@
 //    in the HAL/device can stay on without perturbing measurements;
 //  * instruments are registered once under a mutex and cached at the call
 //    site (function-local static), so steady state never takes the lock;
-//  * scraping (TextDump/ToJson) reads atomics only — safe to run from a
+//  * scraping (ToJson) reads atomics only — safe to run from a
 //    monitoring thread while queries execute (covered by the TSan CI job).
 //
 // All metrics are cumulative over the process lifetime; with multiple HAL
@@ -100,8 +100,6 @@ class MetricsRegistry {
   Histogram* GetHistogram(std::string_view name, std::vector<double> bounds,
                           std::string_view help = "");
 
-  /// Plain-text dump, one metric per line, sorted by name.
-  std::string TextDump() const;
   /// JSON export: {"counters":{...},"gauges":{...},"histograms":{...}}.
   std::string ToJson() const;
 

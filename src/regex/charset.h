@@ -40,9 +40,6 @@ class CharSet {
   void Negate() {
     for (uint64_t& w : words_) w = ~w;
   }
-  void UnionWith(const CharSet& other) {
-    for (int i = 0; i < 4; ++i) words_[i] |= other.words_[i];
-  }
 
   /// Adds the case counterpart of every ASCII letter currently in the set.
   void FoldCase() {

@@ -39,8 +39,6 @@ struct CompileOptions {
   /// case folding. In hardware these live in the character matchers'
   /// extra compare registers.
   std::vector<std::pair<uint8_t, uint8_t>> collation_equivalents;
-
-  bool HasCollation() const { return !collation_equivalents.empty(); }
 };
 
 class StringMatcher {

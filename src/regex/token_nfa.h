@@ -128,12 +128,6 @@ struct TokenNfa {
     for (const HwToken& t : tokens) cost += t.MatcherCost();
     return cost;
   }
-  /// Longest token chain (bounds the PU shift-register depth).
-  int MaxChainLength() const {
-    int len = 0;
-    for (const HwToken& t : tokens) len = std::max(len, t.length());
-    return len;
-  }
 
   /// Human-readable dump for debugging and golden tests.
   std::string ToString() const;

@@ -14,6 +14,15 @@ namespace sched {
 
 namespace {
 
+// Distinct compiled programs kept by the LRU ProgramCache.
+constexpr int kProgramCacheCapacity = 16;
+// Distinct patterns coalesced into one set-compiled scan; the
+// tagged-accept encoding carries at most 64 streams.
+constexpr int kMaxSetPatterns = 8;
+static_assert(kMaxSetPatterns >= 2 && kMaxSetPatterns <= 64);
+// LRU byte budget of the result cache.
+constexpr int64_t kResultCacheBytes = 64ll << 20;
+
 obs::Counter& AdmittedCounter() {
   static obs::Counter* c = obs::MetricsRegistry::Global().GetCounter(
       "doppio.sched.admitted", "queries accepted by scheduler admission");
@@ -191,23 +200,18 @@ QueryScheduler::QueryScheduler(Hal* hal)
 QueryScheduler::QueryScheduler(Hal* hal, Options options)
     : hal_(hal),
       options_(options),
-      cache_(hal->device_config(), options.program_cache_capacity),
+      cache_(hal->device_config(), kProgramCacheCapacity),
       pool_(std::max(1, options.cpu_threads)) {
   DOPPIO_CHECK(hal_ != nullptr);
   DOPPIO_CHECK(options_.global_queue_limit >= 1);
   DOPPIO_CHECK(options_.quantum_rows >= 1);
   DOPPIO_CHECK(options_.max_batch_width >= 1);
-  if (options_.set_compilation) {
-    // 64 = the config-vector's tagged-accept stream bound.
-    DOPPIO_CHECK(options_.max_set_patterns >= 2);
-    DOPPIO_CHECK(options_.max_set_patterns <= 64);
-  }
   if (options_.cost_routing) {
     cost_model_ = std::make_unique<OperatorCostModel>(
         hal_->device_config(), OperatorCostModel::Measure());
   }
   if (options_.result_cache) {
-    results_ = std::make_unique<ResultCache>(options_.result_cache_bytes);
+    results_ = std::make_unique<ResultCache>(kResultCacheBytes);
   }
 }
 
@@ -569,7 +573,7 @@ QueryScheduler::Wave QueryScheduler::PickWaveLocked() {
         // Same-key pulls are the classic pass's job (and bounded by the
         // width cap); this pass only grows the *pattern set*.
         if (!same_input || same_key) continue;
-        if (distinct_keys + 1 > options_.max_set_patterns) continue;
+        if (distinct_keys + 1 > kMaxSetPatterns) continue;
         if (states + head->program->config.states_used > device.max_states) {
           continue;
         }

@@ -119,8 +119,6 @@ class QueryScheduler {
     /// budget is split across its queries (partitions per query =
     /// num_engines / width, min 1).
     int max_batch_width = 4;
-    /// Distinct compiled programs kept by the LRU ProgramCache.
-    int program_cache_capacity = 16;
     /// Workers for CPU-routed queries.
     int cpu_threads = 2;
     /// Consult the operator cost model (db/cost_model) at admission and
@@ -139,21 +137,16 @@ class QueryScheduler {
     /// when the union fits one PU, so N same-column tenants cost one scan
     /// instead of N. Per-stream results stay bit-identical to solo runs;
     /// a union that exceeds capacity falls back to the multi-pass path.
+    /// A set holds at most 8 distinct patterns.
     /// Off by default: the paper's per-pattern waves stay byte-identical.
     bool set_compilation = false;
-    /// Distinct patterns coalesced into one set-compiled scan (2..64; the
-    /// tagged-accept encoding carries at most 64 streams). Only consulted
-    /// when set_compilation is on.
-    int max_set_patterns = 8;
     /// Versioned match-result cache (docs/RESULT_CACHE.md): a wave head
     /// whose (compiled-program fingerprint, column id, column version)
     /// hits is served the cached block without occupying an engine,
-    /// charged to its session as a zero-cost grant. Off by default: the
-    /// paper's every-query-rescans waves stay byte-identical.
+    /// charged to its session as a zero-cost grant, under a 64 MiB LRU
+    /// byte budget. Off by default: the paper's every-query-rescans waves
+    /// stay byte-identical.
     bool result_cache = false;
-    /// LRU byte budget of the result cache (consulted only when
-    /// result_cache is on).
-    int64_t result_cache_bytes = 64ll << 20;
   };
 
   explicit QueryScheduler(Hal* hal);  // default Options

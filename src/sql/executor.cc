@@ -181,48 +181,114 @@ class JoinRel : public Rel {
 // ---------------------------------------------------------------------------
 // Generic expression evaluation over a Rel (residual predicates)
 
-struct EvalContext {
-  const Rel* rel = nullptr;
-  // Matchers compiled once per query, keyed by the expression node.
-  std::map<const Expr*, std::shared_ptr<StringMatcher>> matchers;
+/// What a residual node reads, resolved once per query: the column of a
+/// column reference, LIKE or regexp_like, and the matcher of the latter
+/// two.
+struct ResolvedNode {
+  int col = -1;
+  std::shared_ptr<StringMatcher> matcher;
 };
 
-Status PrepareMatchers(const Expr& expr, EvalContext* ctx) {
-  if (expr.kind == ExprKind::kLike) {
-    DOPPIO_ASSIGN_OR_RETURN(LikeAnalysis like, TranslateLike(expr.str_value));
-    std::shared_ptr<StringMatcher> matcher;
-    if (like.is_multi_substring) {
-      DOPPIO_ASSIGN_OR_RETURN(
-          auto m, MultiSubstringMatcher::Create(like.substrings,
-                                                expr.like_case_insensitive));
-      matcher = std::move(m);
-    } else {
-      CompileOptions copts;
-      copts.case_insensitive = expr.like_case_insensitive;
-      copts.anchor_start = like.anchored_start;
-      copts.anchor_end = like.anchored_end;
-      DOPPIO_ASSIGN_OR_RETURN(Program program,
-                              CompileProgram(*like.ast, copts));
-      matcher = DfaMatcher::FromProgram(std::move(program));
-    }
-    ctx->matchers[&expr] = std::move(matcher);
+struct EvalContext {
+  const Rel* rel = nullptr;
+  std::map<const Expr*, ResolvedNode> nodes;
+};
+
+Result<int> ResolveStringColumn(const Expr& column, const EvalContext& ctx,
+                                const char* use) {
+  const int col = ctx.rel->Find(column.name);
+  if (col < 0 || !ctx.rel->IsString(col)) {
+    return Status::InvalidArgument(std::string(use) +
+                                   " over missing/non-string column '" +
+                                   column.name + "'");
   }
-  if (expr.kind == ExprKind::kFunc && expr.name == "regexp_like" &&
-      expr.args.size() == 2) {
-    const Expr* pattern_arg = nullptr;
-    for (const auto& a : expr.args) {
-      if (a->kind == ExprKind::kStringLiteral) pattern_arg = a.get();
-    }
-    if (pattern_arg != nullptr) {
-      DOPPIO_ASSIGN_OR_RETURN(
-          auto m, BacktrackMatcher::Compile(pattern_arg->str_value));
-      ctx->matchers[&expr] = std::move(m);
-    }
+  return col;
+}
+
+Status PrepareInt(const Expr& expr, EvalContext* ctx) {
+  if (expr.kind == ExprKind::kIntLiteral) return Status::OK();
+  if (expr.kind != ExprKind::kColumn) {
+    return Status::NotImplemented("integer expression: " + expr.ToString());
   }
-  for (const auto& a : expr.args) {
-    DOPPIO_RETURN_NOT_OK(PrepareMatchers(*a, ctx));
+  const int col = ctx->rel->Find(expr.name);
+  if (col < 0) {
+    return Status::InvalidArgument("unknown column '" + expr.name + "'");
   }
+  if (ctx->rel->IsString(col)) {
+    return Status::InvalidArgument("column '" + expr.name +
+                                   "' is not integer-typed");
+  }
+  ctx->nodes[&expr].col = col;
   return Status::OK();
+}
+
+/// Resolves every column the residual references against how it is used
+/// (integer comparison, or LIKE / REGEXP_LIKE over a string) and compiles
+/// each matcher, before any row is evaluated: whether a statement fails
+/// never depends on the rows it meets.
+Status PrepareBool(const Expr& expr, EvalContext* ctx) {
+  switch (expr.kind) {
+    case ExprKind::kBinary:
+      if (expr.op == BinOp::kAnd || expr.op == BinOp::kOr) {
+        DOPPIO_RETURN_NOT_OK(PrepareBool(*expr.args[0], ctx));
+        return PrepareBool(*expr.args[1], ctx);
+      }
+      DOPPIO_RETURN_NOT_OK(PrepareInt(*expr.args[0], ctx));
+      return PrepareInt(*expr.args[1], ctx);
+    case ExprKind::kNot:
+      return PrepareBool(*expr.args[0], ctx);
+    case ExprKind::kLike: {
+      if (expr.args[0]->kind != ExprKind::kColumn) {
+        return Status::NotImplemented("LIKE over non-column expression");
+      }
+      DOPPIO_ASSIGN_OR_RETURN(int col,
+                              ResolveStringColumn(*expr.args[0], *ctx, "LIKE"));
+      DOPPIO_ASSIGN_OR_RETURN(LikeAnalysis like,
+                              TranslateLike(expr.str_value));
+      std::shared_ptr<StringMatcher> matcher;
+      if (like.is_multi_substring) {
+        DOPPIO_ASSIGN_OR_RETURN(
+            auto m, MultiSubstringMatcher::Create(
+                        like.substrings, expr.like_case_insensitive));
+        matcher = std::move(m);
+      } else {
+        CompileOptions copts;
+        copts.case_insensitive = expr.like_case_insensitive;
+        copts.anchor_start = like.anchored_start;
+        copts.anchor_end = like.anchored_end;
+        DOPPIO_ASSIGN_OR_RETURN(Program program,
+                                CompileProgram(*like.ast, copts));
+        matcher = DfaMatcher::FromProgram(std::move(program));
+      }
+      ctx->nodes[&expr] = {col, std::move(matcher)};
+      return Status::OK();
+    }
+    case ExprKind::kFunc: {
+      if (expr.name != "regexp_like" || expr.args.size() != 2) {
+        return Status::NotImplemented("function '" + expr.name +
+                                      "' in predicate");
+      }
+      // Either argument order: REGEXP_LIKE(col, 'pat') or ('pat', col).
+      const Expr* column = nullptr;
+      const Expr* pattern = nullptr;
+      for (const auto& a : expr.args) {
+        if (a->kind == ExprKind::kColumn) column = a.get();
+        if (a->kind == ExprKind::kStringLiteral) pattern = a.get();
+      }
+      if (column == nullptr || pattern == nullptr) {
+        return Status::NotImplemented(
+            "regexp_like needs one column and one pattern literal");
+      }
+      DOPPIO_ASSIGN_OR_RETURN(
+          int col, ResolveStringColumn(*column, *ctx, "regexp_like"));
+      DOPPIO_ASSIGN_OR_RETURN(auto matcher,
+                              BacktrackMatcher::Compile(pattern->str_value));
+      ctx->nodes[&expr] = {col, std::move(matcher)};
+      return Status::OK();
+    }
+    default:
+      return Status::NotImplemented("boolean expression: " + expr.ToString());
+  }
 }
 
 struct CellValue {
@@ -230,41 +296,30 @@ struct CellValue {
   int64_t i = 0;
 };
 
-Result<CellValue> EvalInt(EvalContext& ctx, const Expr& expr, int64_t row);
-Result<bool> EvalBool(EvalContext& ctx, const Expr& expr, int64_t row);
-
-Result<CellValue> EvalInt(EvalContext& ctx, const Expr& expr, int64_t row) {
-  switch (expr.kind) {
-    case ExprKind::kIntLiteral:
-      return CellValue{false, expr.int_value};
-    case ExprKind::kColumn: {
-      int col = ctx.rel->Find(expr.name);
-      if (col < 0) {
-        return Status::InvalidArgument("unknown column '" + expr.name + "'");
-      }
-      if (ctx.rel->IsNull(col, row)) return CellValue{true, 0};
-      return CellValue{false, ctx.rel->GetInt(col, row)};
-    }
-    default:
-      return Status::NotImplemented("integer expression: " + expr.ToString());
+// Row evaluation over a residual that PrepareBool accepted: every shape
+// and column is known to be valid here.
+CellValue EvalInt(const EvalContext& ctx, const Expr& expr, int64_t row) {
+  if (expr.kind == ExprKind::kIntLiteral) {
+    return CellValue{false, expr.int_value};
   }
+  const int col = ctx.nodes.at(&expr).col;
+  if (ctx.rel->IsNull(col, row)) return CellValue{true, 0};
+  return CellValue{false, ctx.rel->GetInt(col, row)};
 }
 
-Result<bool> EvalBool(EvalContext& ctx, const Expr& expr, int64_t row) {
+bool EvalBool(const EvalContext& ctx, const Expr& expr, int64_t row) {
   switch (expr.kind) {
     case ExprKind::kBinary: {
       if (expr.op == BinOp::kAnd) {
-        DOPPIO_ASSIGN_OR_RETURN(bool lhs, EvalBool(ctx, *expr.args[0], row));
-        if (!lhs) return false;
-        return EvalBool(ctx, *expr.args[1], row);
+        return EvalBool(ctx, *expr.args[0], row) &&
+               EvalBool(ctx, *expr.args[1], row);
       }
       if (expr.op == BinOp::kOr) {
-        DOPPIO_ASSIGN_OR_RETURN(bool lhs, EvalBool(ctx, *expr.args[0], row));
-        if (lhs) return true;
-        return EvalBool(ctx, *expr.args[1], row);
+        return EvalBool(ctx, *expr.args[0], row) ||
+               EvalBool(ctx, *expr.args[1], row);
       }
-      DOPPIO_ASSIGN_OR_RETURN(CellValue a, EvalInt(ctx, *expr.args[0], row));
-      DOPPIO_ASSIGN_OR_RETURN(CellValue b, EvalInt(ctx, *expr.args[1], row));
+      const CellValue a = EvalInt(ctx, *expr.args[0], row);
+      const CellValue b = EvalInt(ctx, *expr.args[1], row);
       if (a.is_null || b.is_null) return false;  // SQL: NULL comparisons
       switch (expr.op) {
         case BinOp::kEq:
@@ -277,57 +332,18 @@ Result<bool> EvalBool(EvalContext& ctx, const Expr& expr, int64_t row) {
           return a.i <= b.i;
         case BinOp::kGt:
           return a.i > b.i;
-        case BinOp::kGe:
-          return a.i >= b.i;
         default:
-          return Status::Internal("bad comparison");
+          return a.i >= b.i;
       }
     }
-    case ExprKind::kNot: {
-      DOPPIO_ASSIGN_OR_RETURN(bool inner, EvalBool(ctx, *expr.args[0], row));
-      return !inner;
+    case ExprKind::kNot:
+      return !EvalBool(ctx, *expr.args[0], row);
+    default: {  // LIKE or regexp_like
+      const ResolvedNode& node = ctx.nodes.at(&expr);
+      if (ctx.rel->IsNull(node.col, row)) return false;
+      const bool m = node.matcher->Matches(ctx.rel->GetString(node.col, row));
+      return expr.kind == ExprKind::kLike ? m != expr.like_negated : m;
     }
-    case ExprKind::kLike: {
-      if (expr.args[0]->kind != ExprKind::kColumn) {
-        return Status::NotImplemented("LIKE over non-column expression");
-      }
-      int col = ctx.rel->Find(expr.args[0]->name);
-      if (col < 0 || !ctx.rel->IsString(col)) {
-        return Status::InvalidArgument("LIKE over missing/non-string column");
-      }
-      if (ctx.rel->IsNull(col, row)) return false;
-      auto it = ctx.matchers.find(&expr);
-      if (it == ctx.matchers.end()) {
-        return Status::Internal("matcher not prepared for LIKE");
-      }
-      bool m = it->second->Matches(ctx.rel->GetString(col, row));
-      return m != expr.like_negated;
-    }
-    case ExprKind::kFunc: {
-      if (expr.name == "regexp_like" && expr.args.size() == 2) {
-        const Expr* col_arg = nullptr;
-        for (const auto& a : expr.args) {
-          if (a->kind == ExprKind::kColumn) col_arg = a.get();
-        }
-        if (col_arg == nullptr) {
-          return Status::NotImplemented("regexp_like without column arg");
-        }
-        int col = ctx.rel->Find(col_arg->name);
-        if (col < 0 || !ctx.rel->IsString(col)) {
-          return Status::InvalidArgument("regexp_like over missing column");
-        }
-        if (ctx.rel->IsNull(col, row)) return false;
-        auto it = ctx.matchers.find(&expr);
-        if (it == ctx.matchers.end()) {
-          return Status::Internal("matcher not prepared for regexp_like");
-        }
-        return it->second->Matches(ctx.rel->GetString(col, row));
-      }
-      return Status::NotImplemented("function '" + expr.name +
-                                    "' in predicate");
-    }
-    default:
-      return Status::NotImplemented("boolean expression: " + expr.ToString());
   }
 }
 
@@ -340,26 +356,33 @@ Result<std::vector<int64_t>> ComputeSelection(ColumnStoreEngine* engine,
                                               PlannedFilter filter,
                                               QueryStats* stats) {
   const int64_t n = rel.rows();
-  std::vector<uint8_t> keep;  // empty until the first filter: all rows
   ExprPtr residual = std::move(filter.residual);
 
+  // String predicates over a base table's string column run as bulk
+  // operators; any other is demoted to the residual (e.g. a predicate over
+  // a derived table).
+  const Table* base = rel.base_table();
+  std::vector<std::pair<const Bat*, const StringFilterSpec*>> scans;
   for (auto& fast : filter.fast) {
-    const Table* base = rel.base_table();
     const Bat* column =
         base != nullptr ? base->GetColumn(fast.column) : nullptr;
-    if (column == nullptr || column->type() != ValueType::kString) {
-      // Demote to residual evaluation (e.g. predicate over derived table).
-      if (residual == nullptr) {
-        residual = std::move(fast.original);
-      } else {
-        residual = Expr::Binary(BinOp::kAnd, std::move(residual),
-                                std::move(fast.original));
-      }
-      continue;
+    if (column != nullptr && column->type() == ValueType::kString) {
+      scans.emplace_back(column, &fast.spec);
+    } else if (residual == nullptr) {
+      residual = std::move(fast.original);
+    } else {
+      residual = Expr::Binary(BinOp::kAnd, std::move(residual),
+                              std::move(fast.original));
     }
-    DOPPIO_ASSIGN_OR_RETURN(
-        std::vector<uint8_t> bits,
-        engine->EvalStringFilter(*column, fast.spec, stats));
+  }
+  EvalContext ctx;
+  ctx.rel = &rel;
+  if (residual != nullptr) DOPPIO_RETURN_NOT_OK(PrepareBool(*residual, &ctx));
+
+  std::vector<uint8_t> keep;  // empty until the first filter: all rows
+  for (const auto& [column, spec] : scans) {
+    DOPPIO_ASSIGN_OR_RETURN(std::vector<uint8_t> bits,
+                            engine->EvalStringFilter(*column, *spec, stats));
     if (keep.empty()) {
       keep = std::move(bits);
       continue;
@@ -371,13 +394,9 @@ Result<std::vector<int64_t>> ComputeSelection(ColumnStoreEngine* engine,
   if (keep.empty()) keep.assign(static_cast<size_t>(n), 1);
 
   if (residual != nullptr) {
-    EvalContext ctx;
-    ctx.rel = &rel;
-    DOPPIO_RETURN_NOT_OK(PrepareMatchers(*residual, &ctx));
     for (int64_t i = 0; i < n; ++i) {
       if (keep[static_cast<size_t>(i)] == 0) continue;
-      DOPPIO_ASSIGN_OR_RETURN(bool ok, EvalBool(ctx, *residual, i));
-      keep[static_cast<size_t>(i)] = ok ? 1 : 0;
+      keep[static_cast<size_t>(i)] = EvalBool(ctx, *residual, i) ? 1 : 0;
     }
   }
 

@@ -1,13 +1,5 @@
 #include "sql/expression.h"
 
-#include <functional>
-
-#include "regex/backtrack_matcher.h"
-#include "regex/dfa_matcher.h"
-#include "regex/like_translator.h"
-#include "regex/substring_search.h"
-#include "regex/thompson_nfa.h"
-
 namespace doppio {
 namespace sql {
 
@@ -160,172 +152,6 @@ std::vector<ExprPtr> SplitConjuncts(ExprPtr expr) {
   }
   out.push_back(std::move(expr));
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// RowPredicate
-
-struct RowPredicate::Impl {
-  std::function<bool(int64_t)> fn;
-};
-
-RowPredicate::RowPredicate(std::unique_ptr<Impl> impl)
-    : impl_(std::move(impl)) {}
-RowPredicate::~RowPredicate() = default;
-
-bool RowPredicate::Evaluate(int64_t row) const { return impl_->fn(row); }
-
-namespace {
-
-// Compiled value accessor: int-typed.
-using IntGetter = std::function<int64_t(int64_t)>;
-using StrGetter = std::function<std::string_view(int64_t)>;
-
-Result<IntGetter> CompileIntValue(const Expr& expr, const Table& table);
-
-Result<std::function<bool(int64_t)>> CompileBool(const Expr& expr,
-                                                 const Table& table) {
-  switch (expr.kind) {
-    case ExprKind::kBinary: {
-      if (expr.op == BinOp::kAnd || expr.op == BinOp::kOr) {
-        DOPPIO_ASSIGN_OR_RETURN(auto lhs, CompileBool(*expr.args[0], table));
-        DOPPIO_ASSIGN_OR_RETURN(auto rhs, CompileBool(*expr.args[1], table));
-        if (expr.op == BinOp::kAnd) {
-          return std::function<bool(int64_t)>(
-              [lhs, rhs](int64_t row) { return lhs(row) && rhs(row); });
-        }
-        return std::function<bool(int64_t)>(
-            [lhs, rhs](int64_t row) { return lhs(row) || rhs(row); });
-      }
-      DOPPIO_ASSIGN_OR_RETURN(IntGetter lhs,
-                              CompileIntValue(*expr.args[0], table));
-      DOPPIO_ASSIGN_OR_RETURN(IntGetter rhs,
-                              CompileIntValue(*expr.args[1], table));
-      BinOp op = expr.op;
-      return std::function<bool(int64_t)>([lhs, rhs, op](int64_t row) {
-        int64_t a = lhs(row);
-        int64_t b = rhs(row);
-        switch (op) {
-          case BinOp::kEq:
-            return a == b;
-          case BinOp::kNe:
-            return a != b;
-          case BinOp::kLt:
-            return a < b;
-          case BinOp::kLe:
-            return a <= b;
-          case BinOp::kGt:
-            return a > b;
-          case BinOp::kGe:
-            return a >= b;
-          default:
-            return false;
-        }
-      });
-    }
-    case ExprKind::kNot: {
-      DOPPIO_ASSIGN_OR_RETURN(auto inner, CompileBool(*expr.args[0], table));
-      return std::function<bool(int64_t)>(
-          [inner](int64_t row) { return !inner(row); });
-    }
-    case ExprKind::kLike: {
-      if (expr.args[0]->kind != ExprKind::kColumn) {
-        return Status::NotImplemented("LIKE over non-column expression");
-      }
-      const Bat* col = table.GetColumn(expr.args[0]->name);
-      if (col == nullptr || col->type() != ValueType::kString) {
-        return Status::InvalidArgument("LIKE over missing/non-string column");
-      }
-      DOPPIO_ASSIGN_OR_RETURN(LikeAnalysis like,
-                              TranslateLike(expr.str_value));
-      std::shared_ptr<StringMatcher> matcher;
-      if (like.is_multi_substring) {
-        DOPPIO_ASSIGN_OR_RETURN(
-            auto m, MultiSubstringMatcher::Create(
-                        like.substrings, expr.like_case_insensitive));
-        matcher = std::move(m);
-      } else {
-        CompileOptions copts;
-        copts.case_insensitive = expr.like_case_insensitive;
-        copts.anchor_start = like.anchored_start;
-        copts.anchor_end = like.anchored_end;
-        DOPPIO_ASSIGN_OR_RETURN(Program program,
-                                CompileProgram(*like.ast, copts));
-        matcher = DfaMatcher::FromProgram(std::move(program));
-      }
-      bool negated = expr.like_negated;
-      return std::function<bool(int64_t)>([col, matcher, negated](
-                                              int64_t row) {
-        return matcher->Matches(col->GetString(row)) != negated;
-      });
-    }
-    case ExprKind::kFunc: {
-      // Boolean-style functions: regexp_like(col, 'pat').
-      if (expr.name == "regexp_like" && expr.args.size() == 2 &&
-          expr.args[0]->kind == ExprKind::kColumn &&
-          expr.args[1]->kind == ExprKind::kStringLiteral) {
-        const Bat* col = table.GetColumn(expr.args[0]->name);
-        if (col == nullptr || col->type() != ValueType::kString) {
-          return Status::InvalidArgument(
-              "regexp_like over missing/non-string column");
-        }
-        DOPPIO_ASSIGN_OR_RETURN(
-            auto matcher, BacktrackMatcher::Compile(expr.args[1]->str_value));
-        std::shared_ptr<StringMatcher> shared = std::move(matcher);
-        return std::function<bool(int64_t)>([col, shared](int64_t row) {
-          return shared->Matches(col->GetString(row));
-        });
-      }
-      return Status::NotImplemented("function '" + expr.name +
-                                    "' in row predicate");
-    }
-    default:
-      return Status::NotImplemented("expression is not boolean: " +
-                                    expr.ToString());
-  }
-}
-
-Result<IntGetter> CompileIntValue(const Expr& expr, const Table& table) {
-  switch (expr.kind) {
-    case ExprKind::kIntLiteral: {
-      int64_t v = expr.int_value;
-      return IntGetter([v](int64_t) { return v; });
-    }
-    case ExprKind::kColumn: {
-      const Bat* col = table.GetColumn(expr.name);
-      if (col == nullptr) {
-        return Status::InvalidArgument("unknown column '" + expr.name + "'");
-      }
-      switch (col->type()) {
-        case ValueType::kInt32:
-          return IntGetter([col](int64_t row) {
-            return static_cast<int64_t>(col->GetInt32(row));
-          });
-        case ValueType::kInt64:
-          return IntGetter([col](int64_t row) { return col->GetInt64(row); });
-        case ValueType::kInt16:
-          return IntGetter([col](int64_t row) {
-            return static_cast<int64_t>(col->GetInt16(row));
-          });
-        default:
-          return Status::InvalidArgument("column '" + expr.name +
-                                         "' is not integer-typed");
-      }
-    }
-    default:
-      return Status::NotImplemented("unsupported integer expression: " +
-                                    expr.ToString());
-  }
-}
-
-}  // namespace
-
-Result<std::unique_ptr<RowPredicate>> RowPredicate::Compile(
-    const Expr& expr, const Table& table) {
-  DOPPIO_ASSIGN_OR_RETURN(auto fn, CompileBool(expr, table));
-  auto impl = std::make_unique<Impl>();
-  impl->fn = std::move(fn);
-  return std::unique_ptr<RowPredicate>(new RowPredicate(std::move(impl)));
 }
 
 }  // namespace sql

@@ -1,4 +1,4 @@
-// Expression AST of the SQL dialect, plus row-level evaluation.
+// Expression AST of the SQL dialect.
 //
 // Covers what the paper's workloads need: comparisons, AND/OR/NOT,
 // [NOT] LIKE / ILIKE, function predicates (REGEXP_LIKE, REGEXP_FPGA,
@@ -6,12 +6,10 @@
 // references and literals.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
-
-#include "bat/table.h"
-#include "common/status.h"
 
 namespace doppio {
 namespace sql {
@@ -64,26 +62,6 @@ struct Expr {
 /// Splits a boolean expression into its top-level AND conjuncts
 /// (the expression tree is consumed).
 std::vector<ExprPtr> SplitConjuncts(ExprPtr expr);
-
-/// A compiled row predicate over a base table: matchers are built once,
-/// evaluation is per row. Not thread-safe (clone per worker).
-class RowPredicate {
- public:
-  /// Compiles `expr` against `table`'s columns. Fails on unsupported
-  /// shapes (the planner routes string fast paths elsewhere first).
-  static Result<std::unique_ptr<RowPredicate>> Compile(const Expr& expr,
-                                                       const Table& table);
-
-  bool Evaluate(int64_t row) const;
-
- private:
-  struct Impl;
-  explicit RowPredicate(std::unique_ptr<Impl> impl);
-  std::unique_ptr<Impl> impl_;
-
- public:
-  ~RowPredicate();
-};
 
 }  // namespace sql
 }  // namespace doppio

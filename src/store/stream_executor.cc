@@ -47,7 +47,7 @@ Result<HudfResult> RegexpFpgaStreamed(Hal* hal, Pager* pager,
   }
   Stopwatch udf_watch;
   obs::Tracer& tracer = obs::Tracer::Global();
-  const obs::TraceId trace = tracer.BeginQuery(options.span_name);
+  const obs::TraceId trace = tracer.BeginQuery("regexp_fpga_streamed");
   DevicePool* pool = hal->pool();
   const DeviceConfig& dev_config = hal->device_config();
 
@@ -206,9 +206,7 @@ Result<HudfResult> RegexpFpgaStreamed(Hal* hal, Pager* pager,
     window.snapshot = {seg.id(), Segment::kSealedVersion};
     window.trace = trace;
     window.route = "fpga-streamed";
-    window.AddDeviceSlices(0, rows, options.partitions > 0
-                                        ? options.partitions
-                                        : pool->total_engines());
+    window.AddDeviceSlices(0, rows, pool->total_engines());
     if (Status st = ExecuteScanPlan(&plan); !st.ok()) {
       unpin_all();
       return fail(st);

@@ -49,13 +49,12 @@
 
 namespace doppio {
 
+/// Each window runs as one slice per engine across the pool, traced as a
+/// "regexp_fpga_streamed" query.
 struct StreamOptions {
-  /// Slices per window (0 = one per engine across the pool).
-  int partitions = 0;
   /// Double-buffer: overlap window N+1's page-in with window N's
   /// execution. Off = serial page-then-scan (the bench's baseline).
   bool overlap = true;
-  const char* span_name = "regexp_fpga_streamed";
   /// Optional per-segment result caching. Windows whose (config bytes,
   /// segment id, version 1, rows) block is cached are served without
   /// pinning or scanning; clean scanned windows are offered back.

@@ -4,16 +4,6 @@
 
 namespace doppio {
 
-std::string ToLowerAscii(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    out.push_back(
-        static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-  }
-  return out;
-}
-
 std::vector<std::string> TokenizeWords(std::string_view text,
                                        size_t min_length) {
   std::vector<std::string> words;

@@ -13,7 +13,4 @@ namespace doppio {
 std::vector<std::string> TokenizeWords(std::string_view text,
                                        size_t min_length = 1);
 
-/// Lowercases ASCII in place.
-std::string ToLowerAscii(std::string_view text);
-
 }  // namespace doppio

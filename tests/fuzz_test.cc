@@ -2,13 +2,16 @@
 // errors, never crashes, hangs or invalid states.
 #include <gtest/gtest.h>
 
+#include "bat/table.h"
 #include "common/random.h"
+#include "db/column_store.h"
 #include "hw/config_compiler.h"
 #include "hw/config_vector.h"
 #include "regex/dfa_matcher.h"
 #include "regex/like_translator.h"
 #include "regex/pattern_parser.h"
 #include "regex/token_extractor.h"
+#include "sql/executor.h"
 #include "sql/parser.h"
 
 namespace doppio {
@@ -140,6 +143,121 @@ TEST(FuzzTest, MutatedValidSql) {
     }
     (void)sql::ParseSelect(mutated);  // must not crash
   }
+}
+
+// Random WHERE clauses: AND/OR/NOT over comparisons, LIKE and
+// REGEXP_LIKE, naming columns the relation has, columns it lacks, and
+// columns of the wrong type. Patterns come from a benign list, so no
+// backtracking budget is ever hit.
+class WhereGenerator {
+ public:
+  explicit WhereGenerator(Rng* rng) : rng_(rng) {}
+
+  std::string Predicate(int depth) {
+    switch (rng_->NextBounded(depth > 0 ? 6 : 3)) {
+      case 0:
+        return Operand() + " " + Pick(kOps) + " " + Operand();
+      case 1:
+        return Pick(kColumns) +
+               (rng_->Bernoulli(0.3) ? " NOT LIKE '" : " LIKE '") +
+               Pick(kLikePatterns) + "'";
+      case 2:
+        return "REGEXP_LIKE(" + Pick(kColumns) + ", '" + Pick(kRegexps) + "')";
+      case 3:
+        return "(" + Predicate(depth - 1) + " AND " + Predicate(depth - 1) +
+               ")";
+      case 4:
+        return "(" + Predicate(depth - 1) + " OR " + Predicate(depth - 1) +
+               ")";
+      default:
+        return "NOT (" + Predicate(depth - 1) + ")";
+    }
+  }
+
+ private:
+  static constexpr const char* kColumns[] = {"id", "age", "name", "city",
+                                             "ghost"};
+  static constexpr const char* kOps[] = {"=", "<>", "<", "<=", ">", ">="};
+  static constexpr const char* kLikePatterns[] = {"%a%", "b%", "%e", "_o%",
+                                                  "%", "%ar%y%"};
+  static constexpr const char* kRegexps[] = {"a", "^b", "e$", "[a-c]o",
+                                             "(al|ev)", "o+"};
+
+  template <size_t N>
+  std::string Pick(const char* const (&items)[N]) {
+    return items[rng_->NextBounded(N)];
+  }
+  std::string Operand() {
+    switch (rng_->NextBounded(4)) {
+      case 0:
+        return std::to_string(rng_->NextBounded(50));
+      case 1:
+        return "'x'";
+      default:
+        return Pick(kColumns);
+    }
+  }
+
+  Rng* rng_;
+};
+
+std::unique_ptr<Table> PeopleTable(const std::string& name, int rows) {
+  const char* names[] = {"alice", "bob", "carol", "dave", "eve"};
+  const char* cities[] = {"bern", "oslo", "rome"};
+  auto table = std::make_unique<Table>(name);
+  auto id = std::make_unique<Bat>(ValueType::kInt32);
+  auto age = std::make_unique<Bat>(ValueType::kInt64);
+  auto who = std::make_unique<Bat>(ValueType::kString);
+  auto city = std::make_unique<Bat>(ValueType::kString);
+  for (int i = 0; i < rows; ++i) {
+    EXPECT_TRUE(id->AppendInt32(i).ok());
+    EXPECT_TRUE(age->AppendInt64(20 + (i * 7) % 30).ok());
+    EXPECT_TRUE(who->AppendString(names[i % 5]).ok());
+    EXPECT_TRUE(city->AppendString(cities[i % 3]).ok());
+  }
+  EXPECT_TRUE(table->AddColumn("id", std::move(id)).ok());
+  EXPECT_TRUE(table->AddColumn("age", std::move(age)).ok());
+  EXPECT_TRUE(table->AddColumn("name", std::move(who)).ok());
+  EXPECT_TRUE(table->AddColumn("city", std::move(city)).ok());
+  return table;
+}
+
+TEST(FuzzTest, WhereClauseValidityDoesNotDependOnData) {
+  ColumnStoreEngine::Options options;
+  options.num_threads = 1;
+  ColumnStoreEngine engine(options);
+  ASSERT_TRUE(engine.catalog()->AddTable(PeopleTable("full", 40)).ok());
+  ASSERT_TRUE(engine.catalog()->AddTable(PeopleTable("empty", 0)).ok());
+
+  Rng rng(19);
+  WhereGenerator gen(&rng);
+  int ok_statements = 0;
+  for (int i = 0; i < 3000; ++i) {
+    const std::string where = gen.Predicate(3);
+    // The derived table keeps two of the four columns.
+    const bool derived = rng.Bernoulli(0.5);
+    auto run = [&](const std::string& table) {
+      const std::string from =
+          derived ? "(SELECT name, age FROM " + table + ") AS d" : table;
+      return sql::ExecuteQuery(&engine, "SELECT count(*) FROM " + from +
+                                            " WHERE " + where);
+    };
+    auto full = run("full");
+    auto empty = run("empty");
+    for (const auto* outcome : {&full, &empty}) {
+      const Status& st = outcome->status();
+      EXPECT_TRUE(st.ok() || st.IsInvalidArgument() || st.IsParseError() ||
+                  st.code() == StatusCode::kNotImplemented)
+          << where << " -> " << st.ToString();
+    }
+    EXPECT_EQ(full.ok(), empty.ok())
+        << (derived ? "derived: " : "table: ") << where << " -> "
+        << full.status().ToString() << " vs " << empty.status().ToString();
+    ok_statements += full.ok() ? 1 : 0;
+  }
+  // Both outcomes are well represented.
+  EXPECT_GT(ok_statements, 300);
+  EXPECT_LT(ok_statements, 2700);
 }
 
 TEST(FuzzTest, ExtractorNeverProducesInvalidNfa) {

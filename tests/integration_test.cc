@@ -181,6 +181,64 @@ TEST_F(IntegrationTest, NegatedFpgaPredicate) {
   EXPECT_EQ(pos + neg, 30'000);
 }
 
+// The HUDF's result selects exactly the matching rows with `<> 0` and
+// exactly the others with `= 0`.
+TEST_F(IntegrationTest, FpgaResultSelectsHitsAndMisses) {
+  auto table = std::make_unique<Table>("streets");
+  auto id = std::make_unique<Bat>(ValueType::kInt32, engine_->allocator());
+  auto street = std::make_unique<Bat>(ValueType::kString, engine_->allocator());
+  int32_t next = 0;
+  for (const char* s : {"Gasse 1", "Strasse 7", "Weg 2", "Alte Strasse 12",
+                        "Strasse 1"}) {
+    ASSERT_TRUE(id->AppendInt32(next++).ok());
+    ASSERT_TRUE(street->AppendString(s).ok());
+  }
+  ASSERT_TRUE(table->AddColumn("id", std::move(id)).ok());
+  ASSERT_TRUE(table->AddColumn("street", std::move(street)).ok());
+  ASSERT_TRUE(engine_->catalog()->AddTable(std::move(table)).ok());
+
+  auto ids = [&](const std::string& where) {
+    auto outcome =
+        ExecuteQuery(engine_.get(), "SELECT id FROM streets WHERE " + where);
+    EXPECT_TRUE(outcome.ok()) << where << ": "
+                              << outcome.status().ToString();
+    if (!outcome.ok()) return std::vector<int64_t>{};
+    EXPECT_EQ(outcome->stats.strategy, "fpga");
+    return outcome->result.columns[0].ints;
+  };
+  EXPECT_EQ(ids("REGEXP_FPGA('Strasse', street) <> 0"),
+            (std::vector<int64_t>{1, 3, 4}));
+  EXPECT_EQ(ids("REGEXP_FPGA('Strasse', street) = 0"),
+            (std::vector<int64_t>{0, 2}));
+}
+
+// The paper's query shape: the HUDF's result turns into the rows it
+// selects, which are counted, or projected and each one checked.
+TEST_F(IntegrationTest, PaperQueryCountsAndProjectsTheMatches) {
+  auto table = std::make_unique<Table>("koblenz");
+  auto s = std::make_unique<Bat>(ValueType::kString, engine_->allocator());
+  for (int i = 0; i < 500; ++i) {
+    ASSERT_TRUE(
+        s->AppendString(i % 4 == 0 ? "Koblenzer Strasse 1"
+                                   : "Koblenzer Gasse 1")
+            .ok());
+  }
+  ASSERT_TRUE(table->AddColumn("s", std::move(s)).ok());
+  ASSERT_TRUE(engine_->catalog()->AddTable(std::move(table)).ok());
+
+  EXPECT_EQ(Scalar("SELECT count(*) FROM koblenz WHERE "
+                   "REGEXP_FPGA('Strasse', s) <> 0"),
+            125);
+  auto matched = ExecuteQuery(
+      engine_.get(),
+      "SELECT s FROM koblenz WHERE REGEXP_FPGA('Strasse', s) <> 0");
+  ASSERT_TRUE(matched.ok()) << matched.status().ToString();
+  ASSERT_EQ(matched->result.num_rows(), 125);
+  for (const std::string& row : matched->result.columns[0].strings) {
+    EXPECT_NE(row.find("Strasse"), std::string::npos) << row;
+  }
+}
+
 TEST_F(IntegrationTest, ConjunctionOfFpgaAndComparison) {
   int64_t count = Scalar(
       "SELECT count(*) FROM address_table WHERE "
@@ -190,6 +248,47 @@ TEST_F(IntegrationTest, ConjunctionOfFpgaAndComparison) {
       "REGEXP_FPGA('Strasse', address_string) <> 0;");
   EXPECT_GT(count, 0);
   EXPECT_LT(count, full);
+}
+
+// A statement with several string predicates reports each one's strategy
+// once, in predicate order, and REGEXP_AUTO prefixes only its own part.
+// Which operator AUTO picks depends on the calibration and is not pinned.
+TEST_F(IntegrationTest, EveryPredicateKeepsItsStrategy) {
+  auto table = std::make_unique<Table>("people");
+  auto name = std::make_unique<Bat>(ValueType::kString, engine_->allocator());
+  for (const char* n : {"alice", "bob", "carol", "dave", "eve"}) {
+    ASSERT_TRUE(name->AppendString(n).ok());
+  }
+  ASSERT_TRUE(table->AddColumn("name", std::move(name)).ok());
+  ASSERT_TRUE(engine_->catalog()->AddTable(std::move(table)).ok());
+  auto strategy_of = [&](const std::string& where) {
+    QueryStats stats;
+    Scalar("SELECT count(*) FROM people WHERE " + where, &stats);
+    return stats.strategy;
+  };
+
+  EXPECT_EQ(strategy_of("REGEXP_FPGA(name, 'a') AND name LIKE '%e%'"),
+            "fpga+like");
+  EXPECT_EQ(strategy_of("name LIKE '%e%' AND REGEXP_FPGA(name, 'a')"),
+            "like+fpga");
+
+  // "auto-><choice>+like" and "like+auto-><choice>": AUTO's choice is
+  // non-empty and carries no prefix of its own.
+  auto expect_parts = [](const std::string& strategy,
+                         const std::string& before, const std::string& after) {
+    const bool framed = strategy.size() > before.size() + after.size() &&
+                        strategy.starts_with(before) &&
+                        strategy.ends_with(after);
+    EXPECT_TRUE(framed) << strategy;
+    if (!framed) return;
+    const std::string choice = strategy.substr(
+        before.size(), strategy.size() - before.size() - after.size());
+    EXPECT_EQ(choice.find("auto->"), std::string::npos) << strategy;
+  };
+  expect_parts(strategy_of("REGEXP_AUTO(name, 'a') AND name LIKE '%e%'"),
+               "auto->", "+like");
+  expect_parts(strategy_of("name LIKE '%e%' AND REGEXP_AUTO(name, 'a')"),
+               "like+auto->", "");
 }
 
 TEST_F(IntegrationTest, ContainsVersusScanOperators) {

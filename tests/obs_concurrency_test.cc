@@ -48,7 +48,7 @@ TEST(ObsConcurrencyTest, ScrapersRaceClientsWithoutCorruption) {
     scrapers.emplace_back([&] {
       while (!stop.load(std::memory_order_acquire)) {
         std::string metrics_json = obs::MetricsRegistry::Global().ToJson();
-        std::string text = obs::MetricsRegistry::Global().TextDump();
+        std::string text = obs::MetricsRegistry::Global().ToJson();
         std::string trace_json = obs::Tracer::Global().ToChromeTraceJson();
         if (!obs::CheckJsonSyntax(metrics_json).ok()) bad_json.fetch_add(1);
         if (!obs::CheckJsonSyntax(trace_json).ok()) bad_json.fetch_add(1);

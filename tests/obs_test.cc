@@ -142,7 +142,7 @@ TEST(MetricsTest, CountersGaugesAndHistograms) {
   EXPECT_EQ(buckets[2], 1);
   EXPECT_EQ(buckets[3], 1);
 
-  std::string text = reg.TextDump();
+  std::string text = reg.ToJson();
   EXPECT_NE(text.find("test.counter"), std::string::npos);
   EXPECT_NE(text.find("test.gauge"), std::string::npos);
   EXPECT_NE(text.find("test.hist"), std::string::npos);
@@ -187,7 +187,7 @@ TEST(MetricsTest, GlobalRegistryDrivenByTheJobPathExportsValidJson) {
   ASSERT_TRUE(obs::CheckJsonSyntax(json).ok())
       << obs::CheckJsonSyntax(json).ToString();
   EXPECT_NE(json.find("doppio.device.jobs_submitted"), std::string::npos);
-  EXPECT_NE(reg.TextDump().find("doppio.engine.functional_mbps"),
+  EXPECT_NE(reg.ToJson().find("doppio.engine.functional_mbps"),
             std::string::npos);
 }
 

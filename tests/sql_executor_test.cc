@@ -33,6 +33,18 @@ class SqlExecutorTest : public ::testing::Test {
     ASSERT_TRUE(t->AddColumn("name", std::move(name)).ok());
     ASSERT_TRUE(t->AddColumn("age", std::move(age)).ok());
     ASSERT_TRUE(engine_->catalog()->AddTable(std::move(t)).ok());
+
+    // The same columns, no rows.
+    auto empty = std::make_unique<Table>("nobody");
+    ASSERT_TRUE(
+        empty->AddColumn("id", std::make_unique<Bat>(ValueType::kInt32)).ok());
+    ASSERT_TRUE(
+        empty->AddColumn("name", std::make_unique<Bat>(ValueType::kString))
+            .ok());
+    ASSERT_TRUE(
+        empty->AddColumn("age", std::make_unique<Bat>(ValueType::kInt32))
+            .ok());
+    ASSERT_TRUE(engine_->catalog()->AddTable(std::move(empty)).ok());
   }
 
   int64_t Scalar(const std::string& sql_text) {
@@ -43,6 +55,15 @@ class SqlExecutorTest : public ::testing::Test {
     auto v = outcome->result.ScalarInt();
     EXPECT_TRUE(v.ok());
     return v.ok() ? *v : -1;
+  }
+
+  // The first result column of an integer projection.
+  std::vector<int64_t> Ints(const std::string& sql_text) {
+    auto outcome = ExecuteQuery(engine_.get(), sql_text);
+    EXPECT_TRUE(outcome.ok()) << sql_text << ": "
+                              << outcome.status().ToString();
+    if (!outcome.ok() || outcome->result.num_columns() == 0) return {};
+    return outcome->result.columns[0].ints;
   }
 
   std::unique_ptr<ColumnStoreEngine> engine_;
@@ -62,6 +83,39 @@ TEST_F(SqlExecutorTest, CountWithComparison) {
   EXPECT_EQ(Scalar("SELECT count(*) FROM people WHERE age = 30"), 2);
   EXPECT_EQ(Scalar("SELECT count(*) FROM people WHERE age < 30"), 2);
   EXPECT_EQ(Scalar("SELECT count(*) FROM people WHERE age >= 30"), 3);
+}
+
+// Which rows a selection keeps, in row order, not only how many.
+TEST_F(SqlExecutorTest, SelectsRowsByEqualityAndRange) {
+  EXPECT_EQ(Ints("SELECT id FROM people WHERE age = 30"),
+            (std::vector<int64_t>{0, 2}));
+  EXPECT_EQ(Ints("SELECT id FROM people WHERE age >= 25 AND age <= 30"),
+            (std::vector<int64_t>{0, 1, 2, 4}));
+  EXPECT_EQ(
+      Scalar("SELECT count(*) FROM people WHERE age >= 25 AND age <= 30"), 4);
+}
+
+// Two string filters and a comparison: a row survives only if every one
+// selects it.
+TEST_F(SqlExecutorTest, ConjunctionKeepsRowsEveryFilterSelects) {
+  EXPECT_EQ(Ints("SELECT id FROM people WHERE name LIKE '%a%' AND "
+                 "name LIKE '%e%'"),
+            (std::vector<int64_t>{0, 3}));  // alice, dave
+  EXPECT_EQ(Ints("SELECT id FROM people WHERE name LIKE '%a%' AND "
+                 "name LIKE '%e%' AND age = 40"),
+            (std::vector<int64_t>{3}));
+}
+
+// A residual that stays whole (the OR keeps LIKE out of the fast path) is
+// evaluated row by row, over a table and over a derived relation alike.
+TEST_F(SqlExecutorTest, ResidualEvaluatesEachRow) {
+  const std::string where =
+      " WHERE id >= 1 AND (name LIKE '%o%' OR age = 40)";
+  EXPECT_EQ(Ints("SELECT id FROM people" + where),
+            (std::vector<int64_t>{1, 2, 3}));  // bob, carol, dave
+  EXPECT_EQ(Ints("SELECT id FROM (SELECT id, name, age FROM people) AS d" +
+                 where),
+            (std::vector<int64_t>{1, 2, 3}));
 }
 
 TEST_F(SqlExecutorTest, MixedPredicates) {
@@ -105,6 +159,19 @@ TEST_F(SqlExecutorTest, GroupByWithAggregates) {
   ASSERT_EQ(rs.num_rows(), 3);
   EXPECT_EQ(rs.columns[0].ints, (std::vector<int64_t>{25, 30, 40}));
   EXPECT_EQ(rs.columns[1].ints, (std::vector<int64_t>{2, 2, 1}));
+}
+
+// Without ORDER BY, groups come out in the order their first row appears.
+TEST_F(SqlExecutorTest, GroupsEmitInFirstSeenOrder) {
+  auto outcome = ExecuteQuery(
+      engine_.get(),
+      "SELECT age, count(*) AS n, min(id) AS first FROM people GROUP BY age");
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  const ResultSet& rs = outcome->result;
+  ASSERT_EQ(rs.num_rows(), 3);
+  EXPECT_EQ(rs.columns[0].ints, (std::vector<int64_t>{30, 25, 40}));
+  EXPECT_EQ(rs.columns[1].ints, (std::vector<int64_t>{2, 2, 1}));
+  EXPECT_EQ(rs.columns[2].ints, (std::vector<int64_t>{0, 1, 3}));
 }
 
 TEST_F(SqlExecutorTest, SumMinMax) {
@@ -183,6 +250,73 @@ TEST_F(SqlExecutorTest, ErrorsSurface) {
   EXPECT_FALSE(ExecuteQuery(engine_.get(),
                             "SELECT name FROM people GROUP BY age")
                    .ok());
+  // A residual's columns are resolved and type-checked before any row is
+  // evaluated, whatever the rows: no row reaches `ghost` here, the table
+  // is empty, or the first conjunct rejects every row.
+  for (const char* bad : {
+           "SELECT count(*) FROM people WHERE name LIKE '%zzz%' AND ghost = 1",
+           "SELECT count(*) FROM nobody WHERE ghost = 1",
+           "SELECT count(*) FROM people WHERE age = 99 AND ghost = 1",
+           // A string column in an integer comparison.
+           "SELECT count(*) FROM people WHERE name = 0",
+           "SELECT count(*) FROM people WHERE name < 1",
+           "SELECT count(*) FROM (SELECT name, age FROM people) AS d "
+           "WHERE name = 0",
+       }) {
+    auto outcome = ExecuteQuery(engine_.get(), bad);
+    EXPECT_TRUE(outcome.status().IsInvalidArgument())
+        << bad << " -> " << outcome.status().ToString();
+  }
+}
+
+// An unknown column fails the statement wherever the residual names it.
+TEST_F(SqlExecutorTest, ResidualRejectsUnknownColumns) {
+  for (const char* bad : {
+           "SELECT count(*) FROM people WHERE 1 = ghost",
+           "SELECT count(*) FROM people WHERE id = 1 OR ghost LIKE '%a%'",
+           "SELECT count(*) FROM people WHERE id = 1 OR "
+           "REGEXP_LIKE(ghost, 'a')",
+           "SELECT count(*) FROM nobody WHERE NOT (id = 1 OR ghost = 2)",
+           // `age` is not among the derived table's columns.
+           "SELECT count(*) FROM (SELECT id, name FROM people) AS d "
+           "WHERE id = 1 OR age = 30",
+       }) {
+    auto outcome = ExecuteQuery(engine_.get(), bad);
+    EXPECT_TRUE(outcome.status().IsInvalidArgument())
+        << bad << " -> " << outcome.status().ToString();
+  }
+}
+
+// A column used against its type fails the statement, in either direction
+// and wherever it sits, over a table or a derived relation.
+TEST_F(SqlExecutorTest, PredicatesRejectColumnsOfTheWrongType) {
+  for (const char* bad : {
+           "SELECT count(*) FROM people WHERE 0 = name",
+           "SELECT count(*) FROM people WHERE id = 1 OR NOT (name > 1)",
+           "SELECT count(*) FROM people WHERE age LIKE '%3%'",
+           "SELECT count(*) FROM people WHERE id = 1 OR age LIKE '%3%'",
+           "SELECT count(*) FROM nobody WHERE id = 1 OR "
+           "REGEXP_LIKE(age, '3')",
+           "SELECT count(*) FROM (SELECT name, age FROM people) AS d "
+           "WHERE name LIKE '%x%' OR age LIKE '%3%'",
+       }) {
+    auto outcome = ExecuteQuery(engine_.get(), bad);
+    EXPECT_TRUE(outcome.status().IsInvalidArgument())
+        << bad << " -> " << outcome.status().ToString();
+  }
+}
+
+// Projection over a derived relation fetches its rows in that relation's
+// order, through the selection.
+TEST_F(SqlExecutorTest, ProjectionFetchesRowsInRelationOrder) {
+  auto outcome = ExecuteQuery(
+      engine_.get(),
+      "SELECT name FROM (SELECT name, age FROM people "
+      "ORDER BY age DESC, name ASC) AS d WHERE age >= 30");
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  ASSERT_EQ(outcome->result.num_columns(), 1);
+  EXPECT_EQ(outcome->result.columns[0].strings,
+            (std::vector<std::string>{"dave", "alice", "carol"}));
 }
 
 TEST_F(SqlExecutorTest, DerivedTable) {
@@ -333,6 +467,36 @@ TEST_F(JoinTest, InnerJoinDropsUnmatched) {
   auto v = outcome->result.ScalarInt();
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(*v, 4);  // every order row pairs with its customer
+}
+
+// Duplicate keys on both sides: every matching (left, right) pair joins.
+TEST_F(JoinTest, HashJoinPairsEveryMatchingRow) {
+  auto side = [&](const char* table_name, const char* id_name,
+                  const char* key_name, std::vector<int32_t> keys) {
+    auto table = std::make_unique<Table>(table_name);
+    auto id = std::make_unique<Bat>(ValueType::kInt32);
+    auto key = std::make_unique<Bat>(ValueType::kInt32);
+    for (size_t i = 0; i < keys.size(); ++i) {
+      ASSERT_TRUE(id->AppendInt32(static_cast<int32_t>(i)).ok());
+      ASSERT_TRUE(key->AppendInt32(keys[i]).ok());
+    }
+    ASSERT_TRUE(table->AddColumn(id_name, std::move(id)).ok());
+    ASSERT_TRUE(table->AddColumn(key_name, std::move(key)).ok());
+    ASSERT_TRUE(engine_->catalog()->AddTable(std::move(table)).ok());
+  };
+  side("lhs", "l_id", "l_key", {1, 2, 2, 3});
+  side("rhs", "r_id", "r_key", {2, 3, 3, 4});
+
+  auto outcome = ExecuteQuery(
+      engine_.get(),
+      "SELECT l_id, r_id FROM lhs INNER JOIN rhs ON l_key = r_key "
+      "ORDER BY l_id, r_id");
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  const ResultSet& rs = outcome->result;
+  // Key 2: left rows 1 and 2 with right row 0; key 3: left row 3 with
+  // right rows 1 and 2.
+  EXPECT_EQ(rs.columns[0].ints, (std::vector<int64_t>{1, 2, 3, 3}));
+  EXPECT_EQ(rs.columns[1].ints, (std::vector<int64_t>{0, 0, 1, 2}));
 }
 
 TEST_F(JoinTest, FullQ13Shape) {

@@ -204,35 +204,6 @@ TEST(ExpressionTest, SplitConjuncts) {
   EXPECT_EQ(conjuncts.size(), 3u);
 }
 
-TEST(RowPredicateTest, CompiledEvaluation) {
-  Table table("t");
-  auto id = std::make_unique<Bat>(ValueType::kInt32);
-  auto name = std::make_unique<Bat>(ValueType::kString);
-  const char* names[] = {"alpha", "beta", "gamma"};
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(id->AppendInt32(i * 10).ok());
-    ASSERT_TRUE(name->AppendString(names[i]).ok());
-  }
-  ASSERT_TRUE(table.AddColumn("id", std::move(id)).ok());
-  ASSERT_TRUE(table.AddColumn("name", std::move(name)).ok());
-
-  auto where = WhereOf(
-      "SELECT count(*) FROM t WHERE id >= 10 AND name LIKE '%a%'");
-  auto predicate = RowPredicate::Compile(*where, table);
-  ASSERT_TRUE(predicate.ok()) << predicate.status().ToString();
-  EXPECT_FALSE((*predicate)->Evaluate(0));  // id 0 fails id >= 10
-  EXPECT_TRUE((*predicate)->Evaluate(1));   // beta
-  EXPECT_TRUE((*predicate)->Evaluate(2));   // gamma
-}
-
-TEST(RowPredicateTest, RejectsUnknownColumns) {
-  Table table("t");
-  ASSERT_TRUE(
-      table.AddColumn("id", std::make_unique<Bat>(ValueType::kInt32)).ok());
-  auto where = WhereOf("SELECT count(*) FROM t WHERE ghost = 1");
-  EXPECT_FALSE(RowPredicate::Compile(*where, table).ok());
-}
-
 TEST(ExpressionTest, CloneAndToString) {
   auto where = WhereOf(
       "SELECT count(*) FROM t WHERE NOT (a LIKE '%x%') AND b <> 0");
