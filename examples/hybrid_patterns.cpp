@@ -1,7 +1,8 @@
 // Hybrid execution (paper §6.4, §7.8): when a pattern needs more character
 // matchers or states than the deployed PU provides, it is split at a '.*'
-// and the FPGA pre-filters for the CPU. This example runs the same query
-// against three deployments to show all three strategies.
+// and the FPGA pre-filters for the CPU, which resumes each candidate at the
+// device's match index with the suffix after the cut. This example runs
+// the same query against three deployments to show all three strategies.
 //
 //   ./examples/hybrid_patterns [num_records]
 #include <cstdio>
@@ -71,6 +72,9 @@ int main(int argc, char** argv) {
     std::printf("\n%s -> %s\n", d.label, strategy);
     if (result->strategy == HybridStrategy::kHybrid) {
       std::printf("  offloaded prefix: %s\n", plan->fpga_pattern.c_str());
+      std::printf("  CPU resumes with: %s (%s)\n", plan->cpu_pattern.c_str(),
+                  plan->cpu_suffix != nullptr ? "host kernels"
+                                              : "full-pattern lazy DFA");
       std::printf("  CPU post-processed %lld of %lld tuples (%.1f%%)\n",
                   static_cast<long long>(result->cpu_postprocessed),
                   static_cast<long long>(input.count()),

@@ -1,6 +1,7 @@
 #include "db/hybrid_executor.h"
 
 #include <algorithm>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -8,6 +9,7 @@
 #include "hw/config_compiler.h"
 #include "hw/kernel_backend.h"
 #include "obs/metrics.h"
+#include "regex/dfa_matcher.h"
 #include "regex/pattern_parser.h"
 #include "regex/thompson_nfa.h"
 #include "sched/result_cache.h"
@@ -40,15 +42,50 @@ bool IsDotStarNode(const AstNode& node) {
          node.children[0]->char_class == CharSet::AnyChar();
 }
 
-// Clones children [0, end) of a concat into a prefix AST.
-AstNodePtr ConcatPrefix(const AstNode& concat, size_t end) {
+// Clones children [begin, end) of a concat into a new concat AST.
+AstNodePtr ConcatRange(const AstNode& concat, size_t begin, size_t end) {
   std::vector<AstNodePtr> parts;
-  parts.reserve(end);
-  for (size_t i = 0; i < end; ++i) {
+  parts.reserve(end - begin);
+  for (size_t i = begin; i < end; ++i) {
     parts.push_back(concat.children[i]->Clone());
   }
   return AstNode::Concat(std::move(parts));
 }
+
+// The part of a concat before a cut.
+AstNodePtr ConcatPrefix(const AstNode& concat, size_t cut) {
+  return ConcatRange(concat, 0, cut);
+}
+
+// The part of a concat after a cut (the cut's own '.*' excluded).
+AstNodePtr ConcatSuffix(const AstNode& concat, size_t cut) {
+  return ConcatRange(concat, cut + 1, concat.children.size());
+}
+
+// A split plan's suffix never runs on the PU, so it compiles against the
+// host kernels' limits instead of the deployed geometry's: 64 states, the
+// width of CompiledPuProgram's state masks, and 255 characters, the most
+// the configuration vector's one-byte token and chain counts encode.
+constexpr int kHostKernelMaxChars = 255;
+constexpr int kHostKernelMaxStates = 64;
+
+// Compiles a split plan's suffix into a host program; null when it does
+// not compile (beyond the host kernels' limits, or able to match the empty
+// string).
+std::shared_ptr<const CompiledPuProgram> CompileHostSuffix(
+    const AstNode& suffix, const DeviceConfig& device,
+    const CompileOptions& options) {
+  DeviceConfig host = device;
+  host.max_chars = kHostKernelMaxChars;
+  host.max_states = kHostKernelMaxStates;
+  Result<RegexConfig> config = CompileRegexConfig(suffix, host, options);
+  if (!config.ok()) return nullptr;
+  auto program = CompiledPuProgram::Compile(config->vector, host);
+  return program.ok() ? std::move(*program) : nullptr;
+}
+
+// The kernels' saturated match index: "matched, end position >= 65535".
+constexpr uint16_t kSaturated = std::numeric_limits<uint16_t>::max();
 
 // Full-pattern scan on the software matchers (the planner's software
 // strategy, and the degradation target when the hardware path fails with
@@ -202,6 +239,9 @@ Result<HybridPlan> PlanHybrid(std::string_view pattern,
         plan.strategy = HybridStrategy::kHybrid;
         plan.fpga_pattern = prefix->ToString();
         plan.fpga_config = std::move(*attempt);
+        AstNodePtr suffix = ConcatSuffix(ast, *it);
+        plan.cpu_pattern = suffix->ToString();
+        plan.cpu_suffix = CompileHostSuffix(*suffix, device, plan.options);
         break;
       }
       if (!attempt.status().IsCapacityExceeded()) return attempt.status();
@@ -310,27 +350,44 @@ Result<HybridResult> ExecuteHybrid(Hal* hal, const Bat& input,
     out.stats.strategy = "hybrid";
   }
 
-  // CPU post-processing of the tuples that passed, against the full
-  // expression (lazy DFA over the planned AST; the prefix already
-  // pruned the bulk).
+  // CPU post-processing of the tuples that passed. The pre-filter value e
+  // is the prefix's earliest match end, so the full pattern's earliest end
+  // is e plus the suffix's earliest end in the bytes from e on (DESIGN.md
+  // §5, "Hybrid continuation"). A saturated e hides the prefix's true end,
+  // and a plan without a suffix program cannot resume: both run the full
+  // pattern from byte 0.
   Stopwatch cpu_watch;
-  DOPPIO_ASSIGN_OR_RETURN(Program program,
-                          CompileProgram(*plan.ast, options));
-  std::unique_ptr<DfaMatcher> matcher =
-      DfaMatcher::FromProgram(std::move(program));
+  std::unique_ptr<HostExecution> suffix;
+  if (plan.cpu_suffix != nullptr) {
+    suffix = BackendRegistry::Global()
+                 .ChooseHost(*plan.cpu_suffix)
+                 .NewExecution(plan.cpu_suffix);
+  }
+  std::unique_ptr<DfaMatcher> full_pattern;
+  int16_t* values = reinterpret_cast<int16_t*>(hw->result->mutable_tail_data());
   int64_t matched = 0;
   for (int64_t i = 0; i < hw->result->count(); ++i) {
-    int16_t prefilter = hw->result->GetInt16(i);
-    if (prefilter == 0) continue;
+    const uint16_t prefix_end = static_cast<uint16_t>(values[i]);
+    if (prefix_end == 0) continue;
     ++out.cpu_postprocessed;
-    MatchResult m = matcher->Find(input.GetString(i));
-    if (!m.matched) {
-      reinterpret_cast<int16_t*>(hw->result->mutable_tail_data())[i] = 0;
+    const std::string_view text = input.GetString(i);
+    int64_t end = 0;
+    if (suffix != nullptr && prefix_end < kSaturated) {
+      const uint16_t tail = suffix->Match(text.substr(prefix_end));
+      if (tail != 0) end = int64_t{prefix_end} + tail;
     } else {
-      reinterpret_cast<int16_t*>(hw->result->mutable_tail_data())[i] =
-          static_cast<int16_t>(std::min<int32_t>(m.end, 32767));
-      ++matched;
+      if (full_pattern == nullptr) {
+        DOPPIO_ASSIGN_OR_RETURN(Program program,
+                                CompileProgram(*plan.ast, options));
+        full_pattern = DfaMatcher::FromProgram(std::move(program));
+      }
+      const MatchResult m = full_pattern->Find(text);
+      if (m.matched) end = m.end;
     }
+    // Device semantics: saturated, stored as the uint16 bit pattern.
+    values[i] = static_cast<int16_t>(
+        static_cast<uint16_t>(std::min<int64_t>(end, kSaturated)));
+    if (end != 0) ++matched;
   }
   out.stats.udf_software_seconds += cpu_watch.ElapsedSeconds();
   out.stats.rows_matched = matched;

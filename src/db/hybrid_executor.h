@@ -1,10 +1,15 @@
 // Hybrid CPU-FPGA execution (paper §6.4, §7.8).
 //
 // When a pattern needs more character matchers or states than the deployed
-// PU provides, it is split at a '.*' wildcard: the longest prefix that fits
-// runs on the FPGA as a pre-filter, and only the matching tuples are
-// post-processed on the CPU against the full expression. If no prefix
-// fits, execution falls back to pure software.
+// PU provides, it is split at a '.*' wildcard into prefix '.*' suffix: the
+// longest prefix that fits runs on the FPGA as a pre-filter, and the CPU
+// post-processes only the tuples it passed. The CPU resumes where the
+// device stopped: it matches just the suffix, on the host kernels
+// (hw/kernel_backend.h), over each candidate's bytes after the prefix's
+// match index. The result follows device semantics, exactly what the
+// unsplit pattern returns on a PU large enough to hold it (DESIGN.md §5,
+// "Hybrid continuation"). If no prefix fits, execution falls back to pure
+// software.
 #pragma once
 
 #include <memory>
@@ -18,7 +23,7 @@
 #include "db/hudf.h"
 #include "hal/hal.h"
 #include "hw/config_compiler.h"
-#include "regex/dfa_matcher.h"
+#include "hw/pu_kernel.h"
 #include "regex/pattern_ast.h"
 
 namespace doppio {
@@ -32,7 +37,7 @@ struct HybridPlan {
   /// The prefix offloaded to the FPGA (kHybrid/kFpgaOnly), rendered in the
   /// regex dialect: a printable description of `fpga_config`.
   std::string fpga_pattern;
-  /// Elements of the full pattern (always post-processed for kHybrid).
+  /// The full pattern as written: what software scans run.
   std::string full_pattern;
   /// The full pattern, parsed; its edge anchors are folded into `options`.
   AstNodePtr ast;
@@ -40,6 +45,15 @@ struct HybridPlan {
   /// The program the device runs: the full pattern's (kFpgaOnly) or the
   /// prefix's (kHybrid). Empty for kSoftwareOnly.
   std::optional<RegexConfig> fpga_config;
+  /// kHybrid: the pattern after the cut's '.*', rendered in the regex
+  /// dialect: the part the CPU resumes with.
+  std::string cpu_pattern;
+  /// kHybrid: `cpu_pattern` compiled for the host kernels, whose limits
+  /// (not the PU's) it is checked against. The post-process matches it
+  /// over each candidate's tail, from the prefix's match index. Null when
+  /// the suffix does not compile (beyond those limits, or able to match
+  /// the empty string); the post-process then runs the full pattern.
+  std::shared_ptr<const CompiledPuProgram> cpu_suffix;
   /// Host time of every config compile planning ran, failed attempts
   /// included: the statement's configuration-generation phase.
   double compile_seconds = 0;
@@ -47,13 +61,18 @@ struct HybridPlan {
 
 /// Decides how to execute `pattern` on the given deployment: compiles the
 /// full pattern, and when it exceeds the geometry, the longest '.*'-cut
-/// prefix that fits.
+/// prefix that fits, and the suffix after that cut for the host kernels.
 Result<HybridPlan> PlanHybrid(std::string_view pattern,
                               const DeviceConfig& device,
                               const CompileOptions& options = {});
 
 struct HybridResult {
-  /// Boolean-ish short column: nonzero = the full pattern matches.
+  /// One 16-bit value per row in device semantics: the 1-based end of the
+  /// full pattern's earliest match saturated at 65535, or 0 for no match
+  /// (as raw bits in int16 storage: values above 32767 read negative
+  /// through GetInt16). kSoftwareOnly plans and the whole-operator
+  /// software fallback follow the software scan's convention instead
+  /// (db/hudf.h RunDfaScanInSoftware).
   std::unique_ptr<Bat> result;
   QueryStats stats;
   HybridStrategy strategy = HybridStrategy::kSoftwareOnly;
@@ -79,6 +98,14 @@ struct HybridResult {
 ///  * kHybrid — a cached prefix scan replaces the device pre-filter
 ///    entirely ("hybrid+cache_prefilter"); the CPU post-process is
 ///    unchanged.
+///
+/// The kHybrid post-process visits each candidate (nonzero pre-filter
+/// value e): for 0 < e < 65535 it matches the plan's `cpu_suffix` over the
+/// string's bytes from e on and writes e plus the suffix's match index
+/// (saturated at 65535), or 0. A saturated e (the prefix's true end is
+/// unknown) or a null `cpu_suffix` runs the full pattern through a lazy
+/// DFA instead, built on first need.
+///
 /// The executor offers every completed device-semantics scan back to the
 /// cache. A null cache is the paper's every-query-rescans path.
 /// stats.config_gen_seconds includes the plan's compile_seconds.

@@ -459,6 +459,10 @@ Result<std::vector<AggSpec>> ResolveItems(
           return Status::InvalidArgument("unknown column '" +
                                          e.args[0]->name + "'");
         }
+        if (fn != "count" && rel.IsString(col)) {
+          return Status::InvalidArgument(fn + " over string column '" +
+                                         e.args[0]->name + "'");
+        }
         spec.col = col;
         if (fn == "count") spec.kind = AggSpec::Kind::kCount;
         if (fn == "sum") spec.kind = AggSpec::Kind::kSum;
@@ -555,21 +559,33 @@ void AggregateWithoutGroups(const std::vector<AggSpec>& specs, const Rel& rel,
   }
 }
 
-Result<ResultSet> AggregateOrProject(const SelectStmt& stmt, const Rel& rel,
-                                     const std::vector<int64_t>& selection) {
-  // Resolve grouping columns.
+// A statement's grouping columns and output items, resolved and
+// type-checked against its relation before any row is read.
+struct OutputSpec {
   std::vector<int> group_cols;
+  std::vector<AggSpec> items;
+};
+
+Result<OutputSpec> ResolveOutput(const SelectStmt& stmt, const Rel& rel) {
+  OutputSpec output;
   for (const auto& name : stmt.group_by) {
     int col = rel.Find(name);
     if (col < 0) {
       return Status::InvalidArgument("unknown GROUP BY column '" + name +
                                      "'");
     }
-    group_cols.push_back(col);
+    output.group_cols.push_back(col);
   }
-  DOPPIO_ASSIGN_OR_RETURN(std::vector<AggSpec> specs,
-                          ResolveItems(stmt, rel, group_cols));
+  DOPPIO_ASSIGN_OR_RETURN(output.items,
+                          ResolveItems(stmt, rel, output.group_cols));
+  return output;
+}
 
+ResultSet AggregateOrProject(const SelectStmt& stmt, const Rel& rel,
+                             const OutputSpec& output,
+                             const std::vector<int64_t>& selection) {
+  const std::vector<int>& group_cols = output.group_cols;
+  const std::vector<AggSpec>& specs = output.items;
   const bool has_aggregate =
       std::any_of(specs.begin(), specs.end(), [](const AggSpec& s) {
         return s.kind != AggSpec::Kind::kNone;
@@ -832,6 +848,12 @@ Result<std::unique_ptr<Rel>> ExecuteJoin(ColumnStoreEngine* engine,
   if (left_key < 0) {
     return Status::NotImplemented("join without equality condition");
   }
+  // The hash join compares integer keys.
+  if (left->IsString(left_key) || right->IsString(right_key)) {
+    return Status::InvalidArgument(
+        "join keys must be integer columns: " +
+        left->column_name(left_key) + " = " + right->column_name(right_key));
+  }
 
   // Filter the right side.
   ExprPtr right_where;
@@ -897,14 +919,14 @@ Result<QueryOutcome> ExecuteStmtInternal(ColumnStoreEngine* engine,
         rel, ExecuteJoin(engine, std::move(rel), join, &outcome.stats));
   }
 
+  DOPPIO_ASSIGN_OR_RETURN(OutputSpec output, ResolveOutput(stmt, *rel));
   ExprPtr where = stmt.where == nullptr ? nullptr : stmt.where->Clone();
   DOPPIO_ASSIGN_OR_RETURN(PlannedFilter filter, PlanWhere(std::move(where)));
   DOPPIO_ASSIGN_OR_RETURN(
       std::vector<int64_t> selection,
       ComputeSelection(engine, *rel, std::move(filter), &outcome.stats));
 
-  DOPPIO_ASSIGN_OR_RETURN(outcome.result,
-                          AggregateOrProject(stmt, *rel, selection));
+  outcome.result = AggregateOrProject(stmt, *rel, output, selection);
   DOPPIO_RETURN_NOT_OK(SortAndLimit(stmt, &outcome.result));
 
   // Accounting: EvalStringFilter charged its own phases (software filters

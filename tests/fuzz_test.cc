@@ -148,10 +148,27 @@ TEST(FuzzTest, MutatedValidSql) {
 // Random WHERE clauses: AND/OR/NOT over comparisons, LIKE and
 // REGEXP_LIKE, naming columns the relation has, columns it lacks, and
 // columns of the wrong type. Patterns come from a benign list, so no
-// backtracking budget is ever hit.
+// backtracking budget is ever hit. SELECT lists and join conditions draw
+// from the same columns.
 class WhereGenerator {
  public:
   explicit WhereGenerator(Rng* rng) : rng_(rng) {}
+
+  // count(*), or one or two of count/sum/min/max over a column.
+  std::string Items() {
+    if (rng_->Bernoulli(0.5)) return "count(*)";
+    std::string items = Aggregate();
+    if (rng_->Bernoulli(0.3)) items += ", " + Aggregate();
+    return items;
+  }
+
+  // An inner or left outer join with a table aliased j, on an equality of
+  // two columns: the text before the table's name and the text after it.
+  std::pair<std::string, std::string> Join() {
+    std::string kind = rng_->Bernoulli(0.5) ? " JOIN " : " LEFT OUTER JOIN ";
+    return {std::move(kind),
+            " AS j ON " + Pick(kColumns) + " = j." + Pick(kColumns)};
+  }
 
   std::string Predicate(int depth) {
     switch (rng_->NextBounded(depth > 0 ? 6 : 3)) {
@@ -177,6 +194,7 @@ class WhereGenerator {
  private:
   static constexpr const char* kColumns[] = {"id", "age", "name", "city",
                                              "ghost"};
+  static constexpr const char* kAggregates[] = {"count", "sum", "min", "max"};
   static constexpr const char* kOps[] = {"=", "<>", "<", "<=", ">", ">="};
   static constexpr const char* kLikePatterns[] = {"%a%", "b%", "%e", "_o%",
                                                   "%", "%ar%y%"};
@@ -186,6 +204,9 @@ class WhereGenerator {
   template <size_t N>
   std::string Pick(const char* const (&items)[N]) {
     return items[rng_->NextBounded(N)];
+  }
+  std::string Aggregate() {
+    return Pick(kAggregates) + "(" + Pick(kColumns) + ")";
   }
   std::string Operand() {
     switch (rng_->NextBounded(4)) {
@@ -233,26 +254,33 @@ TEST(FuzzTest, WhereClauseValidityDoesNotDependOnData) {
   WhereGenerator gen(&rng);
   int ok_statements = 0;
   for (int i = 0; i < 3000; ++i) {
+    const std::string items = gen.Items();
     const std::string where = gen.Predicate(3);
-    // The derived table keeps two of the four columns.
+    // The derived table keeps two of the four columns; some statements
+    // join it with the table.
     const bool derived = rng.Bernoulli(0.5);
-    auto run = [&](const std::string& table) {
-      const std::string from =
-          derived ? "(SELECT name, age FROM " + table + ") AS d" : table;
-      return sql::ExecuteQuery(&engine, "SELECT count(*) FROM " + from +
-                                            " WHERE " + where);
+    const bool joined = derived && rng.Bernoulli(0.4);
+    std::pair<std::string, std::string> join;
+    if (joined) join = gen.Join();
+    auto statement = [&](const std::string& table) {
+      std::string from = table;
+      if (derived) {
+        from = "(SELECT name, age FROM " + table + ") AS d";
+        if (joined) from += join.first + table + join.second;
+      }
+      return "SELECT " + items + " FROM " + from + " WHERE " + where;
     };
-    auto full = run("full");
-    auto empty = run("empty");
+    auto full = sql::ExecuteQuery(&engine, statement("full"));
+    auto empty = sql::ExecuteQuery(&engine, statement("empty"));
     for (const auto* outcome : {&full, &empty}) {
       const Status& st = outcome->status();
       EXPECT_TRUE(st.ok() || st.IsInvalidArgument() || st.IsParseError() ||
                   st.code() == StatusCode::kNotImplemented)
-          << where << " -> " << st.ToString();
+          << statement("full") << " -> " << st.ToString();
     }
     EXPECT_EQ(full.ok(), empty.ok())
-        << (derived ? "derived: " : "table: ") << where << " -> "
-        << full.status().ToString() << " vs " << empty.status().ToString();
+        << statement("full") << " -> " << full.status().ToString() << " vs "
+        << empty.status().ToString();
     ok_statements += full.ok() ? 1 : 0;
   }
   // Both outcomes are well represented.

@@ -72,8 +72,9 @@ int64_t ConfigCompiles() {
 }
 
 // Each statement compiles its pattern once: the cost model and the hybrid
-// executor read the plan. An over-capacity pattern compiles twice — the
-// full attempt that fails, then the prefix that fits.
+// executor read the plan. An over-capacity pattern compiles three times —
+// the full attempt that fails, the prefix that fits, and the suffix the
+// CPU resumes with.
 TEST_F(IntegrationTest, EachStatementCompilesItsPatternOnce) {
   (void)engine_->cost_model();  // calibrate outside the measured window
   auto compiles_of = [&](const std::string& sql_text) {
@@ -92,11 +93,11 @@ TEST_F(IntegrationTest, EachStatementCompilesItsPatternOnce) {
                         "', address_string) <> 0;"),
             1);
   EXPECT_EQ(compiles_of(QuerySql(EvalQuery::kQH, QueryEngineVariant::kHybrid)),
-            2);
+            3);
   EXPECT_EQ(compiles_of("SELECT count(*)" + where + "REGEXP_AUTO('" +
                         QueryPattern(EvalQuery::kQH) +
                         "', address_string) <> 0;"),
-            2);
+            3);
 }
 
 // An escaped '$' is a literal: the planned prefix runs on the device

@@ -9,6 +9,7 @@
 #include <map>
 
 #include "common/random.h"
+#include "db/hybrid_executor.h"
 #include "hw/config_compiler.h"
 #include "hw/kernel_backend.h"
 #include "hw/processing_unit.h"
@@ -150,6 +151,102 @@ TEST(PropertyTest, SimdBackendAgreesWithScalarOnRandomPatterns) {
   // sweep must actually exercise the accelerated paths, not just the
   // internal fallback.
   EXPECT_GT(simd_served, 10);
+}
+
+// Split plans (db/hybrid_executor.h): P1 '.*' P2, planned under a
+// geometry sized to P1, so the device runs P1 and the CPU resumes with P2
+// at the device's match index. Every value must equal the DFA oracle's
+// min(end, 65535), on short rows and on long rows planted with matches
+// around the 32767 and 65535 boundaries.
+TEST(PropertyTest, SplitPlansResumeExactlyAtTheDevicesMatchIndex) {
+  Rng rng(1313);
+  Hal::Options options;
+  options.shared_memory_bytes = 64 * kSharedPageBytes;
+  options.functional_threads = 2;
+  options.device.max_chars = 64;
+  options.device.max_states = 32;
+  Hal hal(options);
+  const std::string alphabet = "abcxyzABX019 ";
+  int split = 0;
+  int past_cap = 0;          // values above 32767
+  int prefix_saturated = 0;  // rows whose P1 match ends at or past 65535
+  for (int p = 0; p < 80; ++p) {
+    const std::string prefix = RandomHwPattern(&rng);
+    std::string suffix = RandomHwPattern(&rng);
+    if (rng.Bernoulli(0.3)) suffix += ".*" + RandomHwPattern(&rng);
+    const std::string pattern = prefix + ".*" + suffix;
+    CompileOptions copts;
+    copts.case_insensitive = rng.Bernoulli(0.2);
+
+    auto sized = CompileRegexConfig(prefix, options.device, copts);
+    if (!sized.ok()) continue;
+    DeviceConfig device = options.device;
+    device.max_chars = sized->matchers_used;
+    device.max_states = sized->states_used;
+    auto plan = PlanHybrid(pattern, device, copts);
+    ASSERT_TRUE(plan.ok()) << pattern;
+    if (plan->strategy != HybridStrategy::kHybrid) continue;
+    ++split;
+    auto oracle = DfaMatcher::Compile(pattern, copts);
+    auto prefix_oracle = DfaMatcher::Compile(prefix, copts);
+    ASSERT_TRUE(oracle.ok() && prefix_oracle.ok()) << pattern;
+
+    std::vector<std::string> rows;
+    std::vector<std::string> witnesses;  // short rows P1 matches
+    for (int i = 0; i < 40; ++i) {
+      rows.push_back(rng.FromAlphabet(alphabet, rng.NextBounded(40)));
+      if ((*prefix_oracle)->Find(rows.back()).matched) {
+        witnesses.push_back(rows.back());
+      }
+    }
+    // '-' is in no token: the long rows are separators with witnesses
+    // planted anywhere, at the end, or around the 16-bit boundary.
+    for (size_t length : {0, 32768, 65534, 65535, 65536, 70000}) {
+      std::string row(length, '-');
+      const int plants = 1 + static_cast<int>(rng.NextBounded(3));
+      for (int k = 0; k < plants && !witnesses.empty(); ++k) {
+        const std::string& piece = witnesses[rng.NextBounded(witnesses.size())];
+        if (piece.size() > length) continue;
+        const size_t room = length - piece.size();
+        size_t at = 0;
+        switch (rng.NextBounded(3)) {
+          case 0: at = rng.NextBounded(room + 1); break;
+          case 1: at = room - std::min<size_t>(room, rng.NextBounded(8)); break;
+          default:
+            at = std::min<size_t>(room, 65520 + rng.NextBounded(24));
+            break;
+        }
+        std::copy(piece.begin(), piece.end(),
+                  row.begin() + static_cast<std::ptrdiff_t>(at));
+      }
+      rows.push_back(std::move(row));
+    }
+
+    Bat input(ValueType::kString, hal.bat_allocator());
+    for (const std::string& row : rows) {
+      ASSERT_TRUE(input.AppendString(row).ok());
+    }
+    auto result = ExecuteHybrid(&hal, input, *plan);
+    ASSERT_TRUE(result.ok()) << pattern << ": " << result.status().ToString();
+    for (size_t i = 0; i < rows.size(); ++i) {
+      const MatchResult m = (*oracle)->Find(rows[i]);
+      const uint16_t expect =
+          m.matched ? static_cast<uint16_t>(std::min<int32_t>(m.end, 65535))
+                    : uint16_t{0};
+      const uint16_t got = static_cast<uint16_t>(
+          result->result->GetInt16(static_cast<int64_t>(i)));
+      ASSERT_EQ(got, expect) << pattern
+                             << (copts.case_insensitive ? " (folded)" : "")
+                             << ", row " << i << " of " << rows[i].size()
+                             << " bytes";
+      past_cap += expect > 32767 ? 1 : 0;
+      const MatchResult pm = (*prefix_oracle)->Find(rows[i]);
+      prefix_saturated += pm.matched && pm.end >= 65535 ? 1 : 0;
+    }
+  }
+  EXPECT_GT(split, 40);
+  EXPECT_GT(past_cap, 20);
+  EXPECT_GT(prefix_saturated, 5);
 }
 
 TEST(PropertyTest, ConfigVectorRoundTripsRandomPatterns) {

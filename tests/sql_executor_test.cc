@@ -262,11 +262,27 @@ TEST_F(SqlExecutorTest, ErrorsSurface) {
            "SELECT count(*) FROM people WHERE name < 1",
            "SELECT count(*) FROM (SELECT name, age FROM people) AS d "
            "WHERE name = 0",
+           // sum/min/max over a string column, and join keys that are not
+           // both integer, over a table and a derived table.
+           "SELECT sum(name) FROM people",
+           "SELECT min(name) FROM people",
+           "SELECT max(name) FROM people",
+           "SELECT count(*) FROM people AS a JOIN people AS b "
+           "ON a.name = b.id",
+           "SELECT sum(name) FROM (SELECT name FROM people) AS d",
+           "SELECT count(*) FROM (SELECT name FROM people) AS a "
+           "JOIN people ON a.name = people.id",
        }) {
     auto outcome = ExecuteQuery(engine_.get(), bad);
     EXPECT_TRUE(outcome.status().IsInvalidArgument())
         << bad << " -> " << outcome.status().ToString();
   }
+  // count and GROUP BY over a string column stay legal.
+  EXPECT_EQ(Scalar("SELECT count(name) FROM people"), 5);
+  EXPECT_TRUE(
+      ExecuteQuery(engine_.get(),
+                   "SELECT name, count(*) FROM people GROUP BY name")
+          .ok());
 }
 
 // An unknown column fails the statement wherever the residual names it.
