@@ -144,10 +144,16 @@ class ColumnStoreEngine {
                                      bool seal = false);
 
   /// Evaluates a string predicate over a segmented column's sealed
-  /// snapshot via the double-buffered streaming executor. Returns one
-  /// byte per sealed row, bit-identical to EvalStringFilter over a
-  /// resident BAT holding the same strings. Only the FPGA strategies
-  /// stream (kRegexpFpga / kHybrid / kAuto all route there).
+  /// snapshot via the double-buffered streaming executor. Only the FPGA
+  /// strategies stream. kRegexpFpga compiles the pattern and fails with
+  /// CapacityExceeded when it does not fit the device. kHybrid and kAuto
+  /// plan it (PlanHybrid) and stream the whole pattern ("fpga-streamed")
+  /// or a split's prefix with its continuation ("hybrid-streamed"); a
+  /// plan with no device part (an anchored pattern, or one no '.*'-cut
+  /// prefix of which fits) fails with InvalidArgument. Whatever streams
+  /// returns one byte per sealed row, bit-identical to EvalStringFilter
+  /// over a resident BAT holding the same strings. A plan's compiles are
+  /// booked as the config phase.
   Result<std::vector<uint8_t>> EvalSegmentedFilter(
       const std::string& table, const std::string& column,
       const StringFilterSpec& spec, QueryStats* stats);

@@ -19,6 +19,9 @@ namespace doppio {
 
 namespace {
 
+// The kernels' saturated match index: "matched, end position >= 65535".
+constexpr uint16_t kSaturated = std::numeric_limits<uint16_t>::max();
+
 obs::Counter& FallbackRowsCounter() {
   static obs::Counter* c = obs::MetricsRegistry::Global().GetCounter(
       "doppio.db.fallback_rows",
@@ -70,7 +73,6 @@ struct SliceRun {
   JobParams params;  // kept alive across resubmissions
   FpgaJob job;       // invalid when the submit degraded or once awaited
   JobOutcome outcome;
-  const uint16_t* mask = nullptr;  // host runs: candidate mask, or null
   bool device = false;   // planned as a device job
   bool on_host = false;  // a planned host run, or a device job degraded
   int owner = -1;        // device currently owning a device slice
@@ -114,6 +116,67 @@ Status DemuxSetOutputs(ScanQuery& q) {
     out.stats.rows_matched = matched;
   }
   return Status::OK();
+}
+
+/// The continuation stage (DESIGN.md §5, "Hybrid continuation"): rewrites
+/// the values of view rows [0, rows) from the prefix's match index to the
+/// full pattern's, reading each candidate's bytes from the view. Sets
+/// q.resumed and recounts q.stats.rows_matched.
+Status Resume(ScanQuery& q, int64_t rows) {
+  const ScanContinuation& c = *q.continuation;
+  std::unique_ptr<HostExecution> suffix;
+  if (c.suffix != nullptr) {
+    suffix = BackendRegistry::Global().ChooseHost(*c.suffix).NewExecution(
+        c.suffix);
+  }
+  std::unique_ptr<DfaMatcher> full;
+  const uint32_t* offsets = reinterpret_cast<const uint32_t*>(q.offsets);
+  const char* heap = reinterpret_cast<const char*>(q.heap);
+  uint16_t* values =
+      reinterpret_cast<uint16_t*>(q.result->mutable_tail_data()) +
+      q.result_offset;
+  int64_t matched = 0;
+  for (int64_t i = 0; i < rows; ++i) {
+    const uint16_t prefix_end = values[i];
+    if (prefix_end == 0) continue;
+    ++q.resumed;
+    // A view string runs from its offset to its NUL, inside the heap.
+    const int64_t at = offsets[i];
+    const char* nul =
+        at < q.heap_bytes
+            ? static_cast<const char*>(std::memchr(
+                  heap + at, '\0', static_cast<size_t>(q.heap_bytes - at)))
+            : nullptr;
+    if (nul == nullptr) return Status::Internal("unterminated view string");
+    const std::string_view text(heap + at,
+                                static_cast<size_t>(nul - (heap + at)));
+    int64_t end = 0;
+    if (suffix != nullptr && prefix_end < kSaturated) {
+      const uint16_t tail = suffix->Match(
+          text.substr(std::min<size_t>(prefix_end, text.size())));
+      if (tail != 0) end = int64_t{prefix_end} + tail;
+    } else {
+      if (full == nullptr) {
+        DOPPIO_ASSIGN_OR_RETURN(full,
+                                DfaMatcher::Compile(c.pattern, c.options));
+      }
+      const MatchResult m = full->Find(text);
+      if (m.matched) end = m.end;
+    }
+    values[i] = static_cast<uint16_t>(std::min<int64_t>(end, kSaturated));
+    if (end != 0) ++matched;
+  }
+  q.stats.rows_matched = matched;
+  return Status::OK();
+}
+
+/// Rows [0, end of the last slice) of the query's view.
+int64_t ExtentOf(const ScanQuery& q) {
+  int64_t rows = 0;
+  for (const ScanSlice& slice : q.slices) {
+    rows = std::max(rows, slice.first_row + slice.rows);
+  }
+  return rows;
 }
 
 /// Plans `queries` as one ScanPlan — over the whole pool, or pool device
@@ -187,12 +250,12 @@ Result<HudfResult> RunDfaScanInSoftware(const Bat& input,
   int64_t matched = 0;
   for (int64_t i = 0; i < n; ++i) {
     MatchResult m = matcher->Find(input.GetString(i));
-    int16_t value =
-        m.matched ? static_cast<int16_t>(std::min<int32_t>(
-                        std::max<int32_t>(m.end, 1), 32767))
-                  : 0;
+    const uint16_t value =
+        m.matched ? static_cast<uint16_t>(std::min<int32_t>(
+                        std::max<int32_t>(m.end, 1), kSaturated))
+                  : uint16_t{0};
     if (m.matched) ++matched;
-    DOPPIO_RETURN_NOT_OK(out.result->AppendInt16(value));
+    DOPPIO_RETURN_NOT_OK(out.result->AppendInt16(static_cast<int16_t>(value)));
   }
   out.stats.strategy = "software";
   out.stats.rows_scanned = n;
@@ -320,29 +383,28 @@ Status ExecuteScanPlan(ScanPlan* plan) {
     ScanQuery& q = queries[qi];
     q.stats = QueryStats();
     q.stats.trace_id = q.trace;
+    q.resumed = 0;
     q.set_outputs.clear();
+    DOPPIO_CHECK(q.continuation == nullptr || q.streams == 1);
     const uint32_t* offsets = reinterpret_cast<const uint32_t*>(q.offsets);
     for (const ScanSlice& slice : q.slices) {
       if (slice.rows <= 0) continue;
-      // A block holds one value per row and serves a kCached slice or
-      // masks a kHost one; device slices need a HAL.
-      DOPPIO_CHECK(slice.block != nullptr
-                       ? q.streams == 1 && slice.source != SliceSource::kDevice
-                       : slice.source != SliceSource::kCached);
+      // A block holds one value per row and serves exactly a kCached
+      // slice; device slices need a HAL.
+      DOPPIO_CHECK((slice.block != nullptr) ==
+                   (slice.source == SliceSource::kCached));
+      DOPPIO_CHECK(slice.block == nullptr || q.streams == 1);
       DOPPIO_CHECK(slice.source != SliceSource::kDevice || pool != nullptr);
       if (slice.block != nullptr && slice.block->rows() != slice.rows) {
-        // Never serve (or mask) rows the block does not hold.
+        // Never serve rows the block does not hold.
         return fail(Status::Internal("cached block does not cover its slice"));
       }
       if (slice.source == SliceSource::kCached) continue;
-      // A mask's zero rows are answered by the block, not scanned.
-      q.stats.rows_scanned +=
-          slice.block == nullptr ? slice.rows : slice.block->rows_matched;
+      q.stats.rows_scanned += slice.rows;
       SliceRun& run = runs.emplace_back();
       run.query = qi;
       run.device = slice.source == SliceSource::kDevice;
       run.on_host = !run.device;
-      if (slice.block != nullptr) run.mask = slice.block->values.data();
       if (run.device) device_runs.push_back(&run);
       const int64_t end = slice.first_row + slice.rows;
       JobParams& params = run.params;
@@ -526,7 +588,12 @@ Status ExecuteScanPlan(ScanPlan* plan) {
   // Stitch each query: copy its cached blocks, run its planned host
   // slices and the device slices no device could complete on the host
   // (the query must not fail for a fault the CPU can absorb), fold the
-  // per-slice stats, demux set streams.
+  // per-slice stats, resume a split's candidates, demux set streams.
+  // scanned[qi]: the query ran a device or host slice. prefix_values[qi]:
+  // a split's scanned values from before its continuation ran, kept only
+  // to be offered back.
+  std::vector<char> scanned(queries.size(), 0);
+  std::vector<std::vector<uint16_t>> prefix_values(queries.size());
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     ScanQuery& q = queries[qi];
     bool cached = false;
@@ -539,10 +606,9 @@ Status ExecuteScanPlan(ScanPlan* plan) {
       q.stats.rows_matched += slice.block->rows_matched;
       cached = true;
     }
-    bool scanned = false;
     for (SliceRun& run : runs) {
       if (run.query != qi) continue;
-      scanned = true;
+      scanned[qi] = 1;
       if (run.device) {
         q.stats.job_retries += run.outcome.retries;
         if (run.outcome.ok && run.outcome.fault_seen) {
@@ -555,8 +621,7 @@ Status ExecuteScanPlan(ScanPlan* plan) {
                              pool->device(run.owner)->now());
       }
       HostSliceInfo info;
-      auto matches =
-          RunHostSlice(host_device, run.params, q.program, &info, run.mask);
+      auto matches = RunHostSlice(host_device, run.params, q.program, &info);
       if (!matches.ok()) return fail(matches.status());
       q.stats.rows_matched += *matches;
       if (run.device) {
@@ -566,12 +631,20 @@ Status ExecuteScanPlan(ScanPlan* plan) {
         q.stats.pu_kernel = info.kernel;
       }
     }
-    if (cached && !scanned) {
+    if (q.continuation != nullptr) {
+      const int64_t rows = ExtentOf(q);
+      if (plan->cache != nullptr && scanned[qi] && !q.timing_only) {
+        prefix_values[qi] = BlockValues(*q.result, q.result_offset, rows);
+      }
+      Status resumed = Resume(q, rows);
+      if (!resumed.ok()) return fail(resumed);
+    }
+    if (cached && !scanned[qi] && q.continuation == nullptr) {
       q.stats.strategy = "fpga-cache";
     } else {
       q.stats.strategy = q.route;
       if (q.stats.fallback_rows > 0) q.stats.strategy += "+sw_fallback";
-      if (cached) q.stats.strategy += "+cache_prefix";
+      if (cached && scanned[qi]) q.stats.strategy += "+cache_prefix";
     }
     for (const ClockExtent& extent : extents[qi]) {
       if (!extent.any) continue;
@@ -594,22 +667,30 @@ Status ExecuteScanPlan(ScanPlan* plan) {
   // Offer each scanned query's complete result back to the cache, once
   // every query's phases are stamped: no phase is charged for it. A set
   // offers each demuxed stream under its member's fingerprint — it is
-  // bit-identical to a solo scan of that member. Queries served wholly
-  // from cache and timing-only runs (zeroed results) offer nothing.
+  // bit-identical to a solo scan of that member. A split offers its
+  // prefix values under `config`, and its final values under the full
+  // pattern's program when it has one. Queries served wholly from cache
+  // and timing-only runs (zeroed results) offer nothing under `config`.
   if (plan->cache != nullptr) {
-    for (const ScanQuery& q : queries) {
-      int64_t rows = 0;
-      bool scanned = false;
-      for (const ScanSlice& slice : q.slices) {
-        rows = std::max(rows, slice.first_row + slice.rows);
-        scanned |= slice.source != SliceSource::kCached && slice.rows > 0;
-      }
-      if (!scanned || q.timing_only) continue;
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      const ScanQuery& q = queries[qi];
+      if (q.timing_only) continue;
+      const int64_t rows = ExtentOf(q);
       const bool degraded = q.stats.fallback_rows > 0;
+      if (q.continuation != nullptr &&
+          q.continuation->full_config != nullptr) {
+        plan->cache->Put(FingerprintOf(*q.continuation->full_config),
+                         q.snapshot.id, q.snapshot.version,
+                         BlockValues(*q.result, q.result_offset, rows),
+                         degraded);
+      }
+      if (!scanned[qi]) continue;
       if (q.streams == 1) {
         plan->cache->Put(FingerprintOf(*q.config), q.snapshot.id,
                          q.snapshot.version,
-                         BlockValues(*q.result, q.result_offset, rows),
+                         q.continuation != nullptr
+                             ? std::move(prefix_values[qi])
+                             : BlockValues(*q.result, q.result_offset, rows),
                          degraded);
         continue;
       }

@@ -50,12 +50,17 @@ struct HudfResult {
 // ScanQuery::AddSlices; after the stitch the executor offers every
 // scanned query's complete result back to ScanPlan::cache.
 //
+// And it is the one place a split plan's CPU half runs (DESIGN.md §5,
+// "Hybrid continuation"): a query that carries a ScanContinuation has
+// its stitched values, the prefix's match indexes, resumed into the full
+// pattern's after the stitch.
+//
 // Host phases, on every plan: hal_seconds is building the plan (from its
 // construction to the drain), sim_host_seconds is the drain (submitting
 // and awaiting device jobs), udf_software_seconds is everything after it
-// — host runs, software fallback, cached-block copies, set demux. The
-// offer-back runs after every query's phases are stamped, so no phase
-// includes it.
+// — host runs, software fallback, cached-block copies, continuations,
+// set demux. The offer-back runs after every query's phases are stamped,
+// so no phase includes it.
 
 /// The column snapshot a cached result block is keyed on, together with
 /// the program's config-vector bytes: a resident BAT's (id(), version())
@@ -99,10 +104,36 @@ struct ScanSlice {
   /// Rows [first_row, first_row + rows) of the query's input view.
   int64_t first_row = 0;
   int64_t rows = 0;
-  /// kCached: the block whose values fill the slice. kHost: an optional
-  /// candidate mask; rows whose block value is 0 write 0 unmatched. A
-  /// block holds exactly the slice's `rows` values, or the plan fails.
+  /// Set iff kCached: the block whose values fill the slice. It holds
+  /// exactly the slice's `rows` values, or the plan fails.
   std::shared_ptr<const sched::CachedResultBlock> block;
+};
+
+/// A split plan's CPU half (DESIGN.md §5, "Hybrid continuation"). The
+/// query's slices compute the prefix's match index e of every row; the
+/// executor then resumes each row from e and writes the full pattern's
+/// device-semantics value:
+///  * e = 0 writes 0;
+///  * 0 < e < 65535 with a suffix program writes 0 when the suffix does
+///    not match the row's bytes from e on, else min(e + v, 65535) for the
+///    suffix's match index v;
+///  * otherwise (a saturated e, whose true end is unknown, or no suffix
+///    program) the full pattern's min(end, 65535), through a lazy DFA
+///    built on first need, once per query.
+struct ScanContinuation {
+  /// The pattern after the cut's '.*', compiled for the host kernels.
+  /// Shared and const: each query runs it through its own HostExecution
+  /// from BackendRegistry::ChooseHost. Null when the suffix does not
+  /// compile (beyond those kernels' limits, or able to match the empty
+  /// string).
+  std::shared_ptr<const CompiledPuProgram> suffix;
+  /// The full pattern, in the regex dialect, and its compile options.
+  std::string pattern;
+  CompileOptions options;
+  /// The full pattern's own device program, when it fits the device (a
+  /// cached prefix block refining a pattern the device could run whole):
+  /// the final values are offered back under it as well. Null otherwise.
+  const RegexConfig* full_config = nullptr;
 };
 
 struct ScanQuery {
@@ -117,16 +148,23 @@ struct ScanQuery {
   Bat* result = nullptr;
   int64_t result_offset = 0;
 
+  /// The program every slice runs; for a split, the prefix's.
   const RegexConfig* config = nullptr;
   /// Compiled program for host runs; null compiles `config` per run.
   std::shared_ptr<const CompiledPuProgram> program;
+  /// A split's suffix (streams == 1 only): resumes the stitched values of
+  /// `config` into the full pattern's, reading each row's bytes from the
+  /// view. Null: the query's values are `config`'s.
+  const ScanContinuation* continuation = nullptr;
   /// Tagged accept streams of `config` (1..64); > 1 fills set_outputs.
   int streams = 1;
   /// streams > 1: each stream's member fingerprint, in stream order — the
   /// keys its demuxed columns are offered back under.
   const std::vector<std::string>* stream_fingerprints = nullptr;
   /// The column snapshot the result — rows [0, end of the last slice) —
-  /// is offered back to ScanPlan::cache under, keyed by `config`'s bytes.
+  /// is offered back to ScanPlan::cache under, keyed by `config`'s bytes:
+  /// for a split, the prefix's values from before the continuation ran,
+  /// and the final values under the continuation's full_config, if any.
   ColumnSnapshot snapshot;
   bool timing_only = false;  // JobParams::timing_only for device slices
   /// Span the executor opens and closes; null = record into `trace`, a
@@ -134,16 +172,20 @@ struct ScanQuery {
   const char* span_name = nullptr;
   uint64_t trace = 0;
   /// Strategy route ("fpga", "sched_cpu", ...). stats.strategy is
-  /// "fpga-cache" for a query served wholly from cache; otherwise the
-  /// route, plus "+sw_fallback" when a device slice degraded, then
-  /// "+cache_prefix" when a cached slice served rows.
+  /// "fpga-cache" for a query without a continuation served wholly from
+  /// cache; otherwise the route, plus "+sw_fallback" when a device slice
+  /// degraded, then "+cache_prefix" when a cached slice served rows of a
+  /// query that also scanned.
   std::string route;
   std::vector<ScanSlice> slices;
 
-  /// Outputs. rows_scanned counts the rows actually scanned: not cached
-  /// rows, nor rows a candidate mask rules out. hw_seconds is the max
-  /// over devices of the query's per-device job extent.
+  /// Outputs. rows_scanned counts the rows a slice scanned: not cached
+  /// rows, nor rows the continuation resumed. rows_matched counts the
+  /// final nonzero values. hw_seconds is the max over devices of the
+  /// query's per-device job extent. `resumed` counts the rows the
+  /// continuation resumed: the prefix's candidates.
   QueryStats stats;
+  int64_t resumed = 0;
   std::vector<HudfResult> set_outputs;
 
   /// Views a resident string BAT (InvalidArgument for any other type).
@@ -266,10 +308,11 @@ Result<HudfResult> RegexpFpgaPartitionedPooled(Hal* hal, const Bat& input,
 
 /// Full-pattern software scan over a string BAT on the lazy-DFA matcher:
 /// the hybrid planner's software strategy and the scheduler's CPU route
-/// for patterns that exceed the deployed geometry. Fills result (int16,
-/// values capped at 32767), strategy ("software"), row counts and the
-/// software phase time. `rows` >= 0 scans only the first `rows` rows
-/// (the scheduler's admission snapshot); -1 = all rows.
+/// for patterns with no device part. Fills result (device semantics:
+/// the match's 1-based end, at least 1, saturated at 65535 and stored as
+/// the uint16 bit pattern; 0 = no match), strategy ("software"), row
+/// counts and the software phase time. `rows` >= 0 scans only the first
+/// `rows` rows (the scheduler's admission snapshot); -1 = all rows.
 Result<HudfResult> RunDfaScanInSoftware(const Bat& input,
                                         std::string_view pattern,
                                         const CompileOptions& options = {},

@@ -1,7 +1,5 @@
 #include "db/hybrid_executor.h"
 
-#include <algorithm>
-#include <limits>
 #include <optional>
 #include <vector>
 
@@ -9,9 +7,7 @@
 #include "hw/config_compiler.h"
 #include "hw/kernel_backend.h"
 #include "obs/metrics.h"
-#include "regex/dfa_matcher.h"
 #include "regex/pattern_parser.h"
-#include "regex/thompson_nfa.h"
 #include "sched/result_cache.h"
 
 namespace doppio {
@@ -84,13 +80,10 @@ std::shared_ptr<const CompiledPuProgram> CompileHostSuffix(
   return program.ok() ? std::move(*program) : nullptr;
 }
 
-// The kernels' saturated match index: "matched, end position >= 65535".
-constexpr uint16_t kSaturated = std::numeric_limits<uint16_t>::max();
-
 // Full-pattern scan on the software matchers (the planner's software
 // strategy, and the degradation target when the hardware path fails with
 // a fallback-eligible error). Shares the implementation with the
-// scheduler's over-capacity CPU route (db/hudf.h).
+// scheduler's CPU route for patterns with no device part (db/hudf.h).
 Result<HybridResult> RunSoftwareScan(const Bat& input,
                                      std::string_view pattern,
                                      const CompileOptions& options) {
@@ -102,45 +95,44 @@ Result<HybridResult> RunSoftwareScan(const Bat& input,
   return out;
 }
 
-// Runs `config` over `input` as one scan query with the paper's HUDF
-// geometry: one partition on pool device 0, span "regexp_fpga" — or, with
-// `host` set, one host slice on that pinned backend. Rows `hit` covers are
-// served from its block; the executor offers the complete result back to
-// `cache`.
-Result<HudfResult> ScanPlanned(Hal* hal, const Bat& input,
-                               const RegexConfig& config, const CacheHit& hit,
-                               sched::ResultCache* cache,
-                               std::optional<BackendId> host) {
+// Runs `config` over `input` as one scan query reported as `route`: rows
+// `hit` covers are served from its block, the rest run on `source` —
+// device slices with the paper's HUDF geometry (one partition on pool
+// device 0, span "regexp_fpga"), or one host slice. A `continuation`
+// resumes the values into the full pattern's. The executor offers the
+// complete result back to `cache`.
+Result<HybridResult> ScanPlanned(Hal* hal, const Bat& input,
+                                 const RegexConfig& config,
+                                 const CacheHit& hit, sched::ResultCache* cache,
+                                 SliceSource source, std::string route,
+                                 const ScanContinuation* continuation) {
   ScanPlan plan;
   plan.hal = hal;
   plan.cache = cache;
   ScanQuery& query = plan.queries.emplace_back();
   DOPPIO_RETURN_NOT_OK(query.SetView(input));
-  HudfResult out;
+  HybridResult out;
   DOPPIO_ASSIGN_OR_RETURN(
       out.result, ZeroedInt16Bat(query.view_rows, hal->bat_allocator()));
   query.result = out.result.get();
   query.config = &config;
+  query.continuation = continuation;
   query.snapshot = {input.id(), input.version()};
-  if (host.has_value()) {
-    query.route = std::string("host-") + BackendName(*host);
-  } else {
-    query.span_name = "regexp_fpga";
-    query.route = "fpga";
-  }
-  query.AddSlices(hit, 0, query.view_rows,
-                  host.has_value() ? SliceSource::kHost : SliceSource::kDevice);
+  if (source == SliceSource::kDevice) query.span_name = "regexp_fpga";
+  query.route = std::move(route);
+  query.AddSlices(hit, 0, query.view_rows, source);
   DOPPIO_RETURN_NOT_OK(ExecuteScanPlan(&plan));
   out.stats = std::move(query.stats);
+  out.cpu_postprocessed = query.resumed;
   return out;
 }
 
 // Pre-filter subsumption (docs/RESULT_CACHE.md): a cached scan of a
 // '.*'-cut prefix of `pattern` is a *complete* candidate set for it — the
 // full unanchored pattern can only match rows where the prefix matched —
-// so the full compiled program refines just the candidate rows, as a
-// host slice masked by the cached block. Probes the cut prefixes
-// longest-first on the same column snapshot; returns the refined result
+// so the cached block serves as the prefix's values and the cut's suffix
+// resumes each candidate from its cached match index. Probes the cut
+// prefixes longest-first on the same column snapshot; returns the result
 // on a hit, nullopt when no usable entry exists. Best-effort by design:
 // internal failures fall through to the normal offload rather than
 // surfacing as errors.
@@ -168,27 +160,22 @@ std::optional<HybridResult> TryPrefilterRefine(sched::ResultCache* cache,
         ResolveCached(cache, *prefix_config, column, rows, {.prefix = false});
     if (hit.block == nullptr) continue;
 
-    ScanPlan refine;
-    refine.device = &hal->device_config();
-    refine.cache = cache;
-    ScanQuery& query = refine.queries.emplace_back();
-    auto result = ZeroedInt16Bat(rows, hal->bat_allocator());
-    if (!result.ok() || !query.SetView(input).ok()) break;
-    query.result = result->get();
-    query.config = &*plan.fpga_config;
-    query.snapshot = column;
-    query.route = "fpga+cache_prefilter";
-    query.slices.push_back({SliceSource::kHost, 0, rows, hit.block});
-    if (!ExecuteScanPlan(&refine).ok()) break;
-
-    const int64_t candidates = hit.block->rows_matched;
-    cache->CountPrefilterUse(rows - candidates);
-    HybridResult out;
-    out.result = std::move(*result);
-    out.strategy = HybridStrategy::kFpgaOnly;
-    out.cpu_postprocessed = candidates;
-    out.stats = std::move(query.stats);
-    return out;
+    Stopwatch suffix_watch;
+    ScanContinuation continuation = ContinuationOf(plan);
+    continuation.suffix = CompileHostSuffix(*ConcatSuffix(ast, *it),
+                                            hal->device_config(), plan.options);
+    continuation.full_config = &*plan.fpga_config;
+    const double compile_seconds =
+        prefix_config->compile_seconds + suffix_watch.ElapsedSeconds();
+    Result<HybridResult> refined =
+        ScanPlanned(hal, input, *prefix_config, hit, cache, SliceSource::kHost,
+                    "fpga+cache_prefilter", &continuation);
+    if (!refined.ok()) break;
+    cache->CountPrefilterUse(rows - refined->cpu_postprocessed);
+    refined->strategy = HybridStrategy::kFpgaOnly;
+    // The hit's prefix and suffix compiles join the plan's config phase.
+    refined->stats.config_gen_seconds += compile_seconds;
+    return std::move(*refined);
   }
   if (probed) cache->CountPrefilterReject();
   return std::nullopt;
@@ -249,6 +236,14 @@ Result<HybridPlan> PlanHybrid(std::string_view pattern,
   }
   plan.compile_seconds = compile_watch.ElapsedSeconds();
   return plan;
+}
+
+ScanContinuation ContinuationOf(const HybridPlan& plan) {
+  ScanContinuation continuation;
+  continuation.suffix = plan.cpu_suffix;
+  continuation.pattern = plan.full_pattern;
+  continuation.options = plan.options;
+  return continuation;
 }
 
 Result<HybridResult> ExecuteHybrid(Hal* hal, const Bat& input,
@@ -312,15 +307,27 @@ Result<HybridResult> ExecuteHybrid(Hal* hal, const Bat& input,
 
   // A pinned host backend (DOPPIO_FORCE_BACKEND=scalar|simd) runs a
   // kFpgaOnly plan's program through the kernel-backend registry instead
-  // of offloading — same program, bit-identical results.
-  std::optional<BackendId> host;
+  // of offloading — same program, bit-identical results. A kHybrid scan
+  // carries the plan's continuation; a cached pre-filter's candidate set
+  // is identical to what the offload would produce (the completeness
+  // guard keeps saturated/degraded scans out of the cache), so it yields
+  // bit-identical results.
+  SliceSource source = SliceSource::kDevice;
+  std::string route = "fpga";
   if (full) {
     const std::optional<BackendId> forced = ForcedBackend();
     if (forced == BackendId::kCpuScalar || forced == BackendId::kCpuSimd) {
-      host = forced;
+      source = SliceSource::kHost;
+      route = std::string("host-") + BackendName(*forced);
     }
+  } else {
+    route = hit.block != nullptr ? "hybrid+cache_prefilter" : "hybrid";
   }
-  Result<HudfResult> hw = ScanPlanned(hal, input, config, hit, cache, host);
+  const ScanContinuation continuation =
+      full ? ScanContinuation() : ContinuationOf(plan);
+  Result<HybridResult> hw =
+      ScanPlanned(hal, input, config, hit, cache, source, std::move(route),
+                  full ? nullptr : &continuation);
   if (!hw.ok()) {
     // The executor degrades per-slice internally; an error surfacing here
     // that is still fallback-eligible (e.g. the device rejects the job
@@ -332,67 +339,9 @@ Result<HybridResult> ExecuteHybrid(Hal* hal, const Bat& input,
     out.stats.strategy = "fpga+sw_fallback";
     return finish(std::move(out));
   }
-  out.stats = hw->stats;
-  if (full) {
-    out.result = std::move(hw->result);
-    return finish(std::move(out));
-  }
-
-  // A cached pre-filter's candidate set is identical to what the offload
-  // would produce (the completeness guard keeps saturated/degraded scans
-  // out of the cache), so the post-process below yields bit-identical
-  // results. It overwrites the candidate block in place; the executor has
-  // already offered the pre-filter scan back.
-  if (hit.block != nullptr) {
-    cache->CountPrefilterUse(rows);
-    out.stats.strategy = "hybrid+cache_prefilter";
-  } else {
-    out.stats.strategy = "hybrid";
-  }
-
-  // CPU post-processing of the tuples that passed. The pre-filter value e
-  // is the prefix's earliest match end, so the full pattern's earliest end
-  // is e plus the suffix's earliest end in the bytes from e on (DESIGN.md
-  // §5, "Hybrid continuation"). A saturated e hides the prefix's true end,
-  // and a plan without a suffix program cannot resume: both run the full
-  // pattern from byte 0.
-  Stopwatch cpu_watch;
-  std::unique_ptr<HostExecution> suffix;
-  if (plan.cpu_suffix != nullptr) {
-    suffix = BackendRegistry::Global()
-                 .ChooseHost(*plan.cpu_suffix)
-                 .NewExecution(plan.cpu_suffix);
-  }
-  std::unique_ptr<DfaMatcher> full_pattern;
-  int16_t* values = reinterpret_cast<int16_t*>(hw->result->mutable_tail_data());
-  int64_t matched = 0;
-  for (int64_t i = 0; i < hw->result->count(); ++i) {
-    const uint16_t prefix_end = static_cast<uint16_t>(values[i]);
-    if (prefix_end == 0) continue;
-    ++out.cpu_postprocessed;
-    const std::string_view text = input.GetString(i);
-    int64_t end = 0;
-    if (suffix != nullptr && prefix_end < kSaturated) {
-      const uint16_t tail = suffix->Match(text.substr(prefix_end));
-      if (tail != 0) end = int64_t{prefix_end} + tail;
-    } else {
-      if (full_pattern == nullptr) {
-        DOPPIO_ASSIGN_OR_RETURN(Program program,
-                                CompileProgram(*plan.ast, options));
-        full_pattern = DfaMatcher::FromProgram(std::move(program));
-      }
-      const MatchResult m = full_pattern->Find(text);
-      if (m.matched) end = m.end;
-    }
-    // Device semantics: saturated, stored as the uint16 bit pattern.
-    values[i] = static_cast<int16_t>(
-        static_cast<uint16_t>(std::min<int64_t>(end, kSaturated)));
-    if (end != 0) ++matched;
-  }
-  out.stats.udf_software_seconds += cpu_watch.ElapsedSeconds();
-  out.stats.rows_matched = matched;
-  out.result = std::move(hw->result);
-  return finish(std::move(out));
+  if (!full && hit.block != nullptr) cache->CountPrefilterUse(rows);
+  hw->strategy = plan.strategy;
+  return finish(std::move(*hw));
 }
 
 }  // namespace doppio

@@ -4,12 +4,13 @@
 // PU provides, it is split at a '.*' wildcard into prefix '.*' suffix: the
 // longest prefix that fits runs on the FPGA as a pre-filter, and the CPU
 // post-processes only the tuples it passed. The CPU resumes where the
-// device stopped: it matches just the suffix, on the host kernels
-// (hw/kernel_backend.h), over each candidate's bytes after the prefix's
-// match index. The result follows device semantics, exactly what the
-// unsplit pattern returns on a PU large enough to hold it (DESIGN.md §5,
-// "Hybrid continuation"). If no prefix fits, execution falls back to pure
-// software.
+// device stopped: the plan's continuation (db/hudf.h ScanContinuation)
+// matches just the suffix, on the host kernels (hw/kernel_backend.h),
+// over each candidate's bytes after the prefix's match index, as a stage
+// of the scan executor. The result follows device semantics, exactly what
+// the unsplit pattern returns on a PU large enough to hold it (DESIGN.md
+// §5, "Hybrid continuation"). If no prefix fits, execution falls back to
+// pure software.
 #pragma once
 
 #include <memory>
@@ -23,7 +24,6 @@
 #include "db/hudf.h"
 #include "hal/hal.h"
 #include "hw/config_compiler.h"
-#include "hw/pu_kernel.h"
 #include "regex/pattern_ast.h"
 
 namespace doppio {
@@ -49,10 +49,10 @@ struct HybridPlan {
   /// dialect: the part the CPU resumes with.
   std::string cpu_pattern;
   /// kHybrid: `cpu_pattern` compiled for the host kernels, whose limits
-  /// (not the PU's) it is checked against. The post-process matches it
+  /// (not the PU's) it is checked against. The continuation matches it
   /// over each candidate's tail, from the prefix's match index. Null when
   /// the suffix does not compile (beyond those limits, or able to match
-  /// the empty string); the post-process then runs the full pattern.
+  /// the empty string); the continuation then runs the full pattern.
   std::shared_ptr<const CompiledPuProgram> cpu_suffix;
   /// Host time of every config compile planning ran, failed attempts
   /// included: the statement's configuration-generation phase.
@@ -66,17 +66,21 @@ Result<HybridPlan> PlanHybrid(std::string_view pattern,
                               const DeviceConfig& device,
                               const CompileOptions& options = {});
 
+/// What every caller of a kHybrid plan attaches to its prefix scan: the
+/// plan's `cpu_suffix`, and its full pattern and options, which the stage
+/// runs for a saturated prefix value or a null suffix.
+ScanContinuation ContinuationOf(const HybridPlan& plan);
+
 struct HybridResult {
   /// One 16-bit value per row in device semantics: the 1-based end of the
   /// full pattern's earliest match saturated at 65535, or 0 for no match
   /// (as raw bits in int16 storage: values above 32767 read negative
-  /// through GetInt16). kSoftwareOnly plans and the whole-operator
-  /// software fallback follow the software scan's convention instead
-  /// (db/hudf.h RunDfaScanInSoftware).
+  /// through GetInt16).
   std::unique_ptr<Bat> result;
   QueryStats stats;
   HybridStrategy strategy = HybridStrategy::kSoftwareOnly;
-  /// Tuples the FPGA pre-filter passed on to the CPU (kHybrid).
+  /// Tuples the pre-filter passed on to the CPU: a kHybrid plan's device
+  /// candidates, or a cached prefix block's in a pre-filter refine.
   int64_t cpu_postprocessed = 0;
 };
 
@@ -90,23 +94,18 @@ struct HybridResult {
 ///  * kFpgaOnly — an exact (fingerprint, column, version) hit is served
 ///    straight from the cached block ("fpga-cache"); otherwise a cached
 ///    scan of a '.*'-cut prefix of the pattern subsumes it as a complete
-///    candidate set, and the full program refines only candidate rows on
-///    the host backend ("fpga+cache_prefilter", bit-identical to a full
-///    device scan by construction); otherwise a block of an earlier,
-///    shorter version of the column serves its rows and only the appended
-///    tail scans ("fpga+cache_prefix").
+///    candidate set: the block is served as the prefix's values and the
+///    cut's suffix resumes each candidate from its cached match index
+///    ("fpga+cache_prefilter", bit-identical to a full device scan by
+///    construction); otherwise a block of an earlier, shorter version of
+///    the column serves its rows and only the appended tail scans
+///    ("fpga+cache_prefix").
 ///  * kHybrid — a cached prefix scan replaces the device pre-filter
-///    entirely ("hybrid+cache_prefilter"); the CPU post-process is
-///    unchanged.
+///    entirely ("hybrid+cache_prefilter"); the continuation is unchanged.
 ///
-/// The kHybrid post-process visits each candidate (nonzero pre-filter
-/// value e): for 0 < e < 65535 it matches the plan's `cpu_suffix` over the
-/// string's bytes from e on and writes e plus the suffix's match index
-/// (saturated at 65535), or 0. A saturated e (the prefix's true end is
-/// unknown) or a null `cpu_suffix` runs the full pattern through a lazy
-/// DFA instead, built on first need.
-///
-/// The executor offers every completed device-semantics scan back to the
+/// A kHybrid scan carries the plan's continuation, which the scan
+/// executor runs after the stitch (db/hudf.h ScanContinuation). The
+/// executor offers every completed device-semantics scan back to the
 /// cache. A null cache is the paper's every-query-rescans path.
 /// stats.config_gen_seconds includes the plan's compile_seconds.
 Result<HybridResult> ExecuteHybrid(Hal* hal, const Bat& input,

@@ -259,7 +259,7 @@ const KernelBackend& BackendRegistry::ChooseHost(
 Result<int64_t> RunHostSlice(const DeviceConfig& device,
                              const JobParams& params,
                              std::shared_ptr<const CompiledPuProgram> program,
-                             HostSliceInfo* info, const uint16_t* mask) {
+                             HostSliceInfo* info) {
   if (program == nullptr) {
     DOPPIO_ASSIGN_OR_RETURN(ConfigVector cv,
                             ConfigVector::FromBytes(params.config));
@@ -276,22 +276,14 @@ Result<int64_t> RunHostSlice(const DeviceConfig& device,
   if (program->num_patterns() != streams) {
     return Status::Internal("host slice streams do not match the program");
   }
-  if (mask != nullptr && streams != 1) {
-    return Status::InvalidArgument(
-        "candidate masks take single-pattern programs");
-  }
   StringReader reader(params);
   OutputCollector collector(params);
   std::vector<uint16_t> values(static_cast<size_t>(streams));
   while (reader.HasMore()) {
     DOPPIO_ASSIGN_OR_RETURN(StringReader::Block block, reader.ReadBlock());
-    const uint16_t* block_mask =
-        mask == nullptr ? nullptr : mask + block.first_string;
     for (size_t i = 0; i < block.strings.size(); ++i) {
       if (streams == 1) {
-        const bool candidate = block_mask == nullptr || block_mask[i] != 0;
-        DOPPIO_RETURN_NOT_OK(collector.Append(
-            candidate ? exec->Match(block.strings[i]) : uint16_t{0}));
+        DOPPIO_RETURN_NOT_OK(collector.Append(exec->Match(block.strings[i])));
       } else {
         exec->MatchSet(block.strings[i], values.data());
         DOPPIO_RETURN_NOT_OK(collector.AppendSet(values.data(), streams));

@@ -123,16 +123,11 @@ struct HostSliceInfo {
 /// backend, writing raw 16-bit match indexes into the slice's result
 /// range — the same kernels the device's functional pass runs. `program`
 /// reuses an already-compiled program; when null the slice's config bytes
-/// are compiled on the spot. `mask`, when set, holds one value per row of
-/// the slice (single-pattern programs only): a row whose value is 0 is
-/// written 0 without being matched. That is the result cache's pre-filter
-/// refine (docs/RESULT_CACHE.md): a complete coarser scan proved the row
-/// cannot match. Returns the slice's match count.
+/// are compiled on the spot. Returns the slice's match count.
 Result<int64_t> RunHostSlice(const DeviceConfig& device,
                              const JobParams& params,
                              std::shared_ptr<const CompiledPuProgram> program =
                                  nullptr,
-                             HostSliceInfo* info = nullptr,
-                             const uint16_t* mask = nullptr);
+                             HostSliceInfo* info = nullptr);
 
 }  // namespace doppio

@@ -7,6 +7,7 @@
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
+#include "db/hybrid_executor.h"
 #include "obs/metrics.h"
 
 namespace doppio {
@@ -144,7 +145,8 @@ namespace internal {
 
 /// One admitted query, shared between the submitting thread, the
 /// dispatcher that executes it, and the waiter that collects it. The
-/// routing fields are immutable after Submit; the completion fields are
+/// routing fields are immutable after Submit, but for the dispatcher
+/// setting `route` to kCache under the mutex; the completion fields are
 /// written by the dispatcher (CPU requests: before the pool future is
 /// waited) and read by waiters only after `done` flips under the
 /// scheduler mutex.
@@ -153,7 +155,12 @@ struct Request {
   const Bat* input = nullptr;
   std::string pattern;
   CompileOptions options;
-  std::shared_ptr<const CachedProgram> program;  // null for kCpuDfa
+  /// The program the request scans: its pattern's, or a split plan's
+  /// prefix. Null for kCpuDfa.
+  std::shared_ptr<const CachedProgram> program;
+  /// A split plan's continuation, attached to every scan of `program`;
+  /// null for any other request.
+  std::shared_ptr<const ScanContinuation> continuation;
   std::string key;  // ProgramCache::MakeKey — wave-coalescing identity
   Route route = Route::kFpga;
   int64_t cost_rows = 1;  // DRR charge
@@ -285,21 +292,32 @@ Result<QueryTicket> QueryScheduler::Submit(Session* session, const Bat& input,
   request->admit_rows = input.count();
   request->cost_rows = std::max<int64_t>(request->admit_rows, 1);
 
-  // Route at admission: compile (or hit the cache), overflow to the CPU
-  // DFA when the pattern exceeds the geometry, and consult the cost model
-  // for inputs the host serves faster than a device round-trip.
+  // Route at admission: compile (or hit the cache). A pattern that
+  // exceeds the geometry is planned: a split scans its prefix's cached
+  // program and carries the plan's continuation, and only a plan with no
+  // device part overflows to the CPU DFA. Then consult the cost model for
+  // inputs the host serves faster than a device round-trip.
   auto compiled = cache_.GetOrCompile(pattern, options);
   if (compiled.ok()) {
     request->program = *compiled;
-    request->route = Route::kFpga;
   } else if (compiled.status().IsCapacityExceeded()) {
-    request->route = Route::kCpuDfa;
+    DOPPIO_ASSIGN_OR_RETURN(
+        HybridPlan plan, PlanHybrid(pattern, hal_->device_config(), options));
+    if (plan.strategy == HybridStrategy::kHybrid) {
+      DOPPIO_ASSIGN_OR_RETURN(
+          request->program,
+          cache_.GetOrCompile(plan.fpga_pattern, plan.options));
+      request->continuation =
+          std::make_shared<ScanContinuation>(ContinuationOf(plan));
+    } else {
+      request->route = Route::kCpuDfa;
+    }
   } else {
     return compiled.status();
   }
   // DOPPIO_FORCE_BACKEND=fpga pins eligible work on the device: no
-  // cost-model CPU routing (over-capacity patterns still go kCpuDfa —
-  // the device cannot hold them at all).
+  // cost-model CPU routing (patterns with no device part still go
+  // kCpuDfa — the device cannot hold them at all).
   const bool force_fpga = ForcedBackend() == BackendId::kFpgaSim;
   if (request->route == Route::kFpga && options_.cost_routing &&
       !options_.timing_only && !force_fpga) {
@@ -418,6 +436,9 @@ QueryScheduler::Wave QueryScheduler::PickWaveLocked() {
   // charged, because the query consumes no engine time. Popping a head can
   // expose another hit behind it, so sweep until a full pass pulls
   // nothing. Head-of-line only: per-session FIFO order is preserved.
+  // A split's hit is no such grant: its continuation still resumes every
+  // candidate on the host. It is marked Route::kCache and left queued, and
+  // deficit round-robin hands it to the CPU pool with the other host work.
   if (results_ != nullptr) {
     bool pulled = true;
     while (pulled) {
@@ -427,11 +448,8 @@ QueryScheduler::Wave QueryScheduler::PickWaveLocked() {
         auto& queue = queues_[session];
         if (queue.empty()) continue;
         std::shared_ptr<Request>& head = queue.front();
-        if (head->program == nullptr ||
-            (head->route != Route::kFpga &&
-             head->route != Route::kCpuProgram)) {
-          continue;  // kCpuDfa results use 32767 software semantics
-        }
+        if (head->program == nullptr) continue;  // kCpuDfa: nothing keyed
+        if (head->route == Route::kCache) continue;  // a split's hit
         // Every pick re-probes for an exact block, so a queued request
         // still hits one inserted meanwhile. Only the first probe counts
         // a miss and looks for a prefix block; a later miss keeps it. A
@@ -447,6 +465,10 @@ QueryScheduler::Wave QueryScheduler::PickWaveLocked() {
           continue;
         }
         head->cache = std::move(hit);
+        if (head->continuation != nullptr) {
+          head->route = Route::kCache;
+          continue;
+        }
         wave.cached.push_back(std::move(head));
         queue.pop_front();
         --session->queued_;
@@ -543,7 +565,10 @@ QueryScheduler::Wave QueryScheduler::PickWaveLocked() {
         auto& queue = queues_[session];
         if (queue.empty()) continue;
         std::shared_ptr<Request>& head = queue.front();
-        if (head->route != Route::kFpga || head->program == nullptr) {
+        // A split never joins a set: its continuation runs on its own
+        // scan.
+        if (head->route != Route::kFpga || head->program == nullptr ||
+            head->continuation != nullptr) {
           continue;
         }
         // The candidate's same-column group in the current wave.
@@ -554,7 +579,10 @@ QueryScheduler::Wave QueryScheduler::PickWaveLocked() {
         int matchers = 0;
         std::vector<std::string_view> keys_seen;
         for (const auto& member : wave.fpga) {
-          if (member->input != head->input) continue;
+          if (member->input != head->input ||
+              member->continuation != nullptr) {
+            continue;
+          }
           same_input = true;
           if (member->key == head->key) same_key = true;
           bool counted = false;
@@ -659,10 +687,11 @@ void QueryScheduler::ExecuteWave(Wave* wave) {
       std::vector<std::vector<Request*>> groups;
       for (auto& request : wave->fpga) {
         Request* raw = request.get();
-        if (raw->cache.block != nullptr) {
+        if (raw->cache.block != nullptr || raw->continuation != nullptr) {
           // Partial-extent requests scan only their private appended
-          // tail; a set slot shares ONE full scan, so they get their own
-          // classic slot instead of joining (or seeding) a group.
+          // tail, and a split resumes its own candidates; a set slot
+          // shares ONE full scan, so they get their own classic slot
+          // instead of joining (or seeding) a group.
           slots.push_back(Slot{{raw}, nullptr});
           continue;
         }
@@ -746,6 +775,7 @@ void QueryScheduler::ExecuteWave(Wave* wave) {
         query.route = "fpga-set";
       } else {
         query.config = &lead.program->config;
+        query.continuation = lead.continuation.get();
         query.span_name = "sched_fpga";
         query.route = "fpga";
       }
@@ -816,7 +846,15 @@ void QueryScheduler::ExecuteWave(Wave* wave) {
   }
 
   for (auto& future : futures) future.wait();
-  RouteCpuCounter().Add(static_cast<int64_t>(wave->cpu.size()));
+  int64_t cache_served = 0;
+  for (auto& request : wave->cpu) {
+    if (request->route != Route::kCache) continue;
+    ++cache_served;
+    request->session->cache_served_.fetch_add(1, std::memory_order_relaxed);
+  }
+  RouteCacheCounter().Add(cache_served);
+  RouteCpuCounter().Add(static_cast<int64_t>(wave->cpu.size()) -
+                        cache_served);
 }
 
 void QueryScheduler::RunCpuRequest(Request* request) {
@@ -829,21 +867,24 @@ void QueryScheduler::RunCpuRequest(Request* request) {
   HudfResult out;
   Status status;
 
-  if (request->route == Route::kCpuProgram) {
+  if (request->program != nullptr) {
     // Same compiled program the engines execute, through the registry-
     // chosen host backend — results bit-identical to the hardware
     // functional pass by construction, so the executor offers them back
     // to the result cache like a device scan. A host-only plan: its
     // result stays off the shared arena, and it never touches the device
-    // pool.
+    // pool. A split's exact hit (Route::kCache) scans nothing: its block
+    // is the prefix's values, which the continuation resumes.
     ScanPlan plan;
     plan.device = &hal_->device_config();
     plan.cache = results_.get();
     ScanQuery& query = plan.queries.emplace_back();
     query.config = &request->program->config;
     query.program = request->program->program;
+    query.continuation = request->continuation.get();
     query.snapshot = request->column;
-    query.route = "sched_cpu";
+    query.route =
+        request->route == Route::kCache ? "fpga-cache" : "sched_cpu";
     status = query.SetView(input);
     auto result = ZeroedInt16Bat(rows);
     if (status.ok()) status = result.status();
@@ -857,9 +898,9 @@ void QueryScheduler::RunCpuRequest(Request* request) {
       out.stats = std::move(query.stats);
     }
   } else {
-    // The pattern exceeds the deployed geometry: full software scan on
-    // the lazy DFA (the planner's software strategy, shared with the
-    // hybrid executor via db/hudf.h).
+    // The pattern has no device part: full software scan on the lazy DFA
+    // (the planner's software strategy, shared with the hybrid executor
+    // via db/hudf.h).
     Stopwatch cpu_watch;
     auto scan = RunDfaScanInSoftware(input, request->pattern,
                                      request->options, rows);

@@ -30,10 +30,16 @@
 //    member's matches on its own output stream, demuxed per query after
 //    the wave (docs/PATTERN_SETS.md). Unions that exceed one PU fall back
 //    to the classic multi-pass waves.
-//  * Cost-model routing — small inputs and patterns that exceed the
-//    deployed geometry run on the host thread pool (the same compiled
-//    program the engines execute, so results stay bit-identical), freeing
-//    engine time for the scans the FPGA actually wins.
+//  * Over-capacity patterns — a pattern that exceeds the deployed
+//    geometry is planned like REGEXP_HYBRID (db/hybrid_executor.h): a
+//    split scans its '.*'-cut prefix's program, routed, cached and
+//    coalesced like any other, and the scan executor resumes each
+//    candidate with the plan's continuation. Only a pattern with no
+//    device part runs on the host lazy DFA.
+//  * Cost-model routing — small inputs run on the host thread pool (the
+//    same compiled program the engines execute, so results stay
+//    bit-identical), freeing engine time for the scans the FPGA actually
+//    wins.
 //
 // Execution is cooperative: the scheduler has no dispatcher thread.
 // Waiters take turns assembling and executing waves — one dispatcher at a
@@ -73,7 +79,7 @@ struct Request;
 enum class Route {
   kFpga,        // batched partitioned submission on the device
   kCpuProgram,  // host thread pool, same compiled PU program (bit-identical)
-  kCpuDfa,      // host lazy DFA — pattern exceeds the deployed geometry
+  kCpuDfa,      // host lazy DFA — the pattern has no device part
   kCache,       // served from the versioned result cache, no engine used
 };
 

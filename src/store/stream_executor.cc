@@ -9,6 +9,7 @@
 #include "hw/perf_model.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
+#include "sched/result_cache.h"
 
 namespace doppio {
 
@@ -38,10 +39,10 @@ obs::Gauge& OverlapOccupancyGauge() {
 
 }  // namespace
 
-Result<HudfResult> RegexpFpgaStreamed(Hal* hal, Pager* pager,
-                                      const SegmentSnapshot& snapshot,
-                                      const RegexConfig& config,
-                                      const StreamOptions& options) {
+Result<HudfResult> RegexpFpgaStreamed(
+    Hal* hal, Pager* pager, const SegmentSnapshot& snapshot,
+    const RegexConfig& config, const StreamOptions& options,
+    const ScanContinuation* continuation) {
   if (hal == nullptr || pager == nullptr) {
     return Status::InvalidArgument("streamed scan requires a HAL and a pager");
   }
@@ -53,7 +54,9 @@ Result<HudfResult> RegexpFpgaStreamed(Hal* hal, Pager* pager,
 
   HudfResult out;
   out.stats.trace_id = trace;
-  out.stats.strategy = "fpga-streamed";
+  const char* route =
+      continuation != nullptr ? "hybrid-streamed" : "fpga-streamed";
+  out.stats.strategy = route;
 
   const size_t W = snapshot.segments.size();
 
@@ -83,16 +86,22 @@ Result<HudfResult> RegexpFpgaStreamed(Hal* hal, Pager* pager,
   DOPPIO_CHECK(row_base[W - 1] + snapshot.segments[W - 1]->rows() ==
                snapshot.rows);
 
-  // Upfront per-segment cache probe: hit windows are never pinned, so a
-  // fully cached repeat scan does zero paging and zero device work.
+  // Upfront per-segment cache probe: hit windows are served up front and
+  // never pinned, so a fully cached repeat scan does zero paging and zero
+  // device work — except, under a continuation, hit windows with
+  // candidates, whose strings the resume reads.
   std::vector<CacheHit> hit(W);
-  bool any_hit = false;
+  std::vector<char> upfront(W, 0);
+  bool any_upfront = false;
   for (size_t w = 0; w < W; ++w) {
     const Segment& seg = *snapshot.segments[w];
     hit[w] = ResolveCached(options.result_cache, config,
                            {seg.id(), Segment::kSealedVersion}, seg.rows(),
                            {.prefix = false});
-    any_hit |= hit[w].block != nullptr;
+    upfront[w] = hit[w].block != nullptr &&
+                 (continuation == nullptr ||
+                  hit[w].block->rows_matched == 0);
+    any_upfront |= upfront[w] != 0;
   }
 
   // Pin bookkeeping: prefetched[w] holds a view pinned ahead of its turn.
@@ -108,7 +117,9 @@ Result<HudfResult> RegexpFpgaStreamed(Hal* hal, Pager* pager,
   };
 
   // Modeled transfer and measured execution time per window, in stitch
-  // order (scanned windows only; cache hits cost nothing).
+  // order: scanned windows, and under a continuation the hit windows with
+  // candidates, which pay their page-in and take no device time. Hits
+  // served up front cost nothing.
   std::vector<double> t_in;
   std::vector<double> d_exec;
 
@@ -130,16 +141,16 @@ Result<HudfResult> RegexpFpgaStreamed(Hal* hal, Pager* pager,
   Stopwatch loop_watch;
   double plan_udf_seconds = 0;
   double page_in_total = 0;
-  // Hit windows first: one host-only query whose kCached slices copy each
-  // segment's block into its row range of the result.
-  if (any_hit) {
+  // Up-front hit windows first: one host-only query whose kCached slices
+  // copy each segment's block into its row range of the result.
+  if (any_upfront) {
     ScanPlan plan;
     plan.device = &dev_config;
     ScanQuery& cached = plan.queries.emplace_back();
     cached.result = out.result.get();
     cached.trace = trace;
     for (size_t w = 0; w < W; ++w) {
-      if (hit[w].block == nullptr) continue;
+      if (!upfront[w]) continue;
       cached.AddSlices(hit[w], row_base[w],
                        row_base[w] + snapshot.segments[w]->rows(),
                        SliceSource::kHost);
@@ -151,7 +162,7 @@ Result<HudfResult> RegexpFpgaStreamed(Hal* hal, Pager* pager,
     plan_udf_seconds += cached.stats.udf_software_seconds;
   }
   for (size_t w = 0; w < W; ++w) {
-    if (hit[w].block != nullptr) continue;
+    if (upfront[w]) continue;
     const Segment& seg = *snapshot.segments[w];
     const int64_t rows = seg.rows();
 
@@ -173,7 +184,7 @@ Result<HudfResult> RegexpFpgaStreamed(Hal* hal, Pager* pager,
     // windows degrades gracefully to serial page-then-scan.
     if (options.overlap) {
       for (size_t n = w + 1; n < W; ++n) {
-        if (hit[n].block != nullptr) continue;
+        if (upfront[n]) continue;
         if (!pinned[n]) {
           Status st = pin_window(n);
           if (!st.ok() && st.code() != StatusCode::kResourceExhausted) {
@@ -188,9 +199,10 @@ Result<HudfResult> RegexpFpgaStreamed(Hal* hal, Pager* pager,
     }
 
     // The window is one scan plan over the pool, sliced exactly like a
-    // resident pooled scan; its rows land at row_base[w] of the result,
-    // and the executor offers them back under the segment's stable
-    // identity so a repeat scan skips the window entirely.
+    // resident pooled scan (or its cached block, under a continuation);
+    // its rows land at row_base[w] of the result, and the executor offers
+    // them back under the segment's stable identity so a repeat scan
+    // skips the window's device work.
     ScanPlan plan;
     plan.hal = hal;
     plan.pooled = true;
@@ -203,10 +215,12 @@ Result<HudfResult> RegexpFpgaStreamed(Hal* hal, Pager* pager,
     window.result = out.result.get();
     window.result_offset = row_base[w];
     window.config = &config;
+    window.continuation = continuation;
     window.snapshot = {seg.id(), Segment::kSealedVersion};
     window.trace = trace;
-    window.route = "fpga-streamed";
-    window.AddDeviceSlices(0, rows, pool->total_engines());
+    window.route = route;
+    window.AddSlices(hit[w], 0, rows, SliceSource::kDevice,
+                     pool->total_engines());
     if (Status st = ExecuteScanPlan(&plan); !st.ok()) {
       unpin_all();
       return fail(st);
@@ -225,8 +239,12 @@ Result<HudfResult> RegexpFpgaStreamed(Hal* hal, Pager* pager,
     plan_udf_seconds += ws.udf_software_seconds;
     t_in.push_back(window_t_in);
     d_exec.push_back(ws.hw_seconds);
-    out.stats.windows_streamed += 1;
-    WindowsStreamedCounter().Add(1);
+    if (hit[w].block != nullptr) {
+      WindowCacheHitsCounter().Add(1);
+    } else {
+      out.stats.windows_streamed += 1;
+      WindowsStreamedCounter().Add(1);
+    }
 
     pager->Unpin(snapshot.segments[w].get());
     pinned[w] = 0;

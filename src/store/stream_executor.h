@@ -39,6 +39,15 @@
 // segment: a repeat scan skips both the transfer AND the execution of hit
 // windows — the cache composes with paging instead of fighting it.
 // rows_scanned counts the scanned windows' rows only.
+//
+// A split plan streams its prefix program with the plan's continuation
+// (db/hudf.h ScanContinuation): every window's query resumes its
+// candidates after the stitch, and the per-segment blocks hold the
+// prefix's values under the prefix's config bytes, the same key a plain
+// scan of the prefix uses. A hit window whose block has candidates needs
+// its strings for the resume, so it is pinned and run in the window loop
+// as a cached slice plus the continuation; hit windows without
+// candidates are served up front, unpinned, as without a continuation.
 #pragma once
 
 #include "common/status.h"
@@ -57,16 +66,19 @@ struct StreamOptions {
   bool overlap = true;
   /// Optional per-segment result caching. Windows whose (config bytes,
   /// segment id, version 1, rows) block is cached are served without
-  /// pinning or scanning; clean scanned windows are offered back.
+  /// scanning; clean scanned windows are offered back.
   sched::ResultCache* result_cache = nullptr;
 };
 
 /// Streams `snapshot` through the device(s) window by window. The result
 /// BAT covers snapshot.rows rows in segment order — bit-identical to a
-/// resident scan of the same strings.
-Result<HudfResult> RegexpFpgaStreamed(Hal* hal, Pager* pager,
-                                      const SegmentSnapshot& snapshot,
-                                      const RegexConfig& config,
-                                      const StreamOptions& options = {});
+/// resident scan of the same strings. With a split plan's `continuation`,
+/// `config` is the plan's prefix and every window resumes into the full
+/// pattern's values, bit-identical to ExecuteHybrid of the plan (strategy
+/// "hybrid-streamed"; otherwise "fpga-streamed").
+Result<HudfResult> RegexpFpgaStreamed(
+    Hal* hal, Pager* pager, const SegmentSnapshot& snapshot,
+    const RegexConfig& config, const StreamOptions& options = {},
+    const ScanContinuation* continuation = nullptr);
 
 }  // namespace doppio

@@ -2,12 +2,14 @@
 // of keying/LRU/guard/invalidation, the scheduler's cache-served route
 // (bit-identity, zero-cost grants, admission snapshots, one miss per
 // request), the saturation hazard regression across device-shard
-// boundaries, the hybrid executor's pre-filter reuse, the candidate-mask
-// host slice, one cache contract across every layer that scans through
-// the executor, the ProgramCache evict-mid-wave accounting fix, and the
-// ingest invalidation path.
+// boundaries, the hybrid executor's pre-filter reuse, the executor's
+// continuation stage over cached, device and host slices, one cache
+// contract across every layer that scans through the executor, the
+// ProgramCache evict-mid-wave accounting fix, and the ingest invalidation
+// path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <memory>
@@ -22,6 +24,7 @@
 #include "db/hybrid_executor.h"
 #include "db/hudf.h"
 #include "hw/config_compiler.h"
+#include "regex/dfa_matcher.h"
 #include "sched/program_cache.h"
 #include "sched/result_cache.h"
 #include "sched/scheduler.h"
@@ -683,84 +686,108 @@ TEST(HybridCacheTest, HybridPlanReusesCachedPrefixWithoutOffload) {
   }
 }
 
-// --- Candidate-mask host slice ----------------------------------------------
+// --- The continuation stage ------------------------------------------------
 
-/// A candidate mask over rows [first, first + rows): one value per row,
-/// nonzero where `candidate(row)`.
-template <typename Candidate>
-std::shared_ptr<CachedResultBlock> MaskOf(int64_t first, int64_t rows,
-                                          Candidate candidate) {
-  auto mask = std::make_shared<CachedResultBlock>();
+/// A cached prefix block over the values of `prefix` in rows [first,
+/// first + rows): what a complete earlier scan of the prefix left behind.
+std::shared_ptr<CachedResultBlock> BlockOf(const Bat& prefix, int64_t first,
+                                           int64_t rows) {
+  auto block = std::make_shared<CachedResultBlock>();
   for (int64_t row = first; row < first + rows; ++row) {
-    mask->values.push_back(candidate(row) ? 1 : 0);
-    mask->rows_matched += candidate(row) ? 1 : 0;
+    block->values.push_back(static_cast<uint16_t>(prefix.GetInt16(row)));
+    block->rows_matched += block->values.back() != 0;
   }
-  return mask;
+  return block;
 }
 
-TEST(CandidateMaskTest, MaskedRowsWriteZeroAndCandidatesMatchAFullRun) {
-  // The pre-filter refine's host slice: rows the mask rules out write 0
-  // unmatched; candidate rows match exactly as a full host run does,
-  // 65535 saturation included, across a slice boundary.
-  Hal hal(TestHal());
-  Bat input(ValueType::kString, hal.bat_allocator());
-  FillInput(&input, 3);
-  std::string saturating(65540 - 7, 'x');  // match ends past 65535
-  saturating += "Strasse";
-  ASSERT_TRUE(input.AppendString(saturating).ok());
-  FillInput(&input, 28, 3);
-  const int64_t rows = input.count();
-  auto config = hal.CompileConfig("Strasse");
-  ASSERT_TRUE(config.ok());
-  auto full = RegexpHost(hal.device_config(), input, *config);
-  ASSERT_TRUE(full.ok()) << full.status().ToString();
-  ASSERT_EQ(static_cast<uint16_t>(full->result->GetInt16(3)), 65535u);
+TEST(ContinuationTest, CachedPrefixBlockAndFreshSlicesResumeToTheOracle) {
+  // A split's values from every slice source: a cached prefix block, a
+  // device slice and a host slice, each resumed by the executor's
+  // continuation stage. Every row equals the unsplit pattern's device
+  // value, the DFA oracle's min(end, 65535).
+  Hal::Options options = TestHal();
+  options.device.max_chars = 10;  // "Strasse" fits, the whole does not
+  Hal hal(options);
+  const std::string pattern = "Strasse.*delivery";
+  auto plan = PlanHybrid(pattern, hal.device_config());
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_EQ(plan->strategy, HybridStrategy::kHybrid);
+  ASSERT_NE(plan->cpu_suffix, nullptr);
 
-  // Candidates: the saturating row, a run straddling the boundary at 16
-  // between the two slices, and every fifth row.
-  auto candidate = [](int64_t row) {
-    return row == 3 || (row >= 13 && row < 19) || row % 5 == 0;
+  const std::string far(65'600, 'x');  // pushes an end past 65535
+  const std::vector<std::string> rows = {
+      // Served by the cached block, rows [0, 6).
+      "delivery to Strasse",          // the suffix occurs only before e
+      "Strasse, then delivery",       // only after e
+      "Strasse",                      // e at the string's end
+      "Strassedelivery",              // the suffix starts at e
+      "",
+      "Strasse " + std::string(40'000, 'x') + "delivery",  // past 32767
+      // A device slice, rows [6, 9): the boundary at 6 splits a pair of
+      // candidates.
+      "Strasse delivery",
+      "no address at all",
+      far + "Strasse delivery",  // a fresh scan's saturated e
+      // A host slice, rows [9, 12).
+      "Strasse " + far + "delivery",  // the tail's end saturates
+      far + "Strasse pickup",         // saturated e, no full match
+      "Strasse, Strasse and delivery",
   };
-  constexpr int64_t kBoundary = 16;
-  ScanPlan plan;
-  plan.device = &hal.device_config();
-  ScanQuery& query = plan.queries.emplace_back();
+  constexpr int64_t kCachedRows = 6;
+  constexpr int64_t kHostFirst = 9;
+  Bat input(ValueType::kString, hal.bat_allocator());
+  for (const std::string& row : rows) {
+    ASSERT_TRUE(input.AppendString(row).ok());
+  }
+  const int64_t n = input.count();
+  auto prefix = RegexpHost(hal.device_config(), input, *plan->fpga_config);
+  ASSERT_TRUE(prefix.ok()) << prefix.status().ToString();
+  ASSERT_EQ(static_cast<uint16_t>(prefix->result->GetInt16(8)), 65535u);
+
+  ScanPlan scan;
+  scan.hal = &hal;
+  ScanQuery& query = scan.queries.emplace_back();
   ASSERT_TRUE(query.SetView(input).ok());
-  auto result = ZeroedInt16Bat(rows);
+  auto result = ZeroedInt16Bat(n, hal.bat_allocator());
   ASSERT_TRUE(result.ok());
   query.result = result->get();
-  query.config = &*config;
-  query.route = "masked";
+  query.config = &*plan->fpga_config;
+  const ScanContinuation continuation = ContinuationOf(*plan);
+  query.continuation = &continuation;
+  query.route = "split";
+  query.slices.push_back({SliceSource::kCached, 0, kCachedRows,
+                          BlockOf(*prefix->result, 0, kCachedRows)});
+  query.AddDeviceSlices(kCachedRows, kHostFirst, 1);
   query.slices.push_back(
-      {SliceSource::kHost, 0, kBoundary, MaskOf(0, kBoundary, candidate)});
-  query.slices.push_back({SliceSource::kHost, kBoundary, rows - kBoundary,
-                          MaskOf(kBoundary, rows - kBoundary, candidate)});
-  ASSERT_TRUE(ExecuteScanPlan(&plan).ok());
+      {SliceSource::kHost, kHostFirst, n - kHostFirst, nullptr});
+  ASSERT_TRUE(ExecuteScanPlan(&scan).ok());
 
-  int64_t candidates = 0;
+  auto oracle = DfaMatcher::Compile(pattern);
+  ASSERT_TRUE(oracle.ok());
   int64_t matched = 0;
-  int64_t masked_matches = 0;
-  for (int64_t row = 0; row < rows; ++row) {
-    const int16_t want = full->result->GetInt16(row);
-    if (candidate(row)) {
-      ++candidates;
-      matched += want != 0;
-      EXPECT_EQ((*result)->GetInt16(row), want) << "row " << row;
-    } else {
-      masked_matches += want != 0;
-      EXPECT_EQ((*result)->GetInt16(row), 0) << "row " << row;
-    }
+  int64_t candidates = 0;
+  for (int64_t row = 0; row < n; ++row) {
+    const MatchResult m = (*oracle)->Find(input.GetString(row));
+    const uint16_t want =
+        m.matched ? static_cast<uint16_t>(std::min<int32_t>(m.end, 65535))
+                  : uint16_t{0};
+    EXPECT_EQ(static_cast<uint16_t>((*result)->GetInt16(row)), want)
+        << "row " << row;
+    matched += want != 0;
+    candidates += prefix->result->GetInt16(row) != 0;
   }
-  EXPECT_GT(masked_matches, 0);  // the mask really hid matching rows
-  EXPECT_EQ(query.stats.rows_scanned, candidates);
+  EXPECT_EQ(static_cast<uint16_t>((*result)->GetInt16(5)), 40'016u);
+  EXPECT_EQ(query.resumed, candidates);
   EXPECT_EQ(query.stats.rows_matched, matched);
-  EXPECT_EQ(query.stats.strategy, "masked");
+  // Resumed rows do not count as scanned.
+  EXPECT_EQ(query.stats.rows_scanned, n - kCachedRows);
+  EXPECT_EQ(query.stats.strategy, "split+cache_prefix");
 }
 
-TEST(CandidateMaskTest, BlocksMustCoverTheirSliceExactly) {
-  // A cached block is served, and a mask applied, only over exactly the
-  // rows it holds: a block of another extent fails the plan instead of
-  // serving rows it does not hold.
+TEST(ContinuationTest, BlocksMustCoverTheirSliceExactly) {
+  // A cached block is served only over exactly the rows it holds: a block
+  // of another extent fails the plan instead of serving rows it does not
+  // hold.
   Hal hal(TestHal());
   Bat input(ValueType::kString, hal.bat_allocator());
   FillInput(&input, 4);
@@ -769,18 +796,16 @@ TEST(CandidateMaskTest, BlocksMustCoverTheirSliceExactly) {
   auto three_rows = std::make_shared<CachedResultBlock>();
   three_rows->values = {7, 0, 15};
   three_rows->rows_matched = 2;
-  for (SliceSource source : {SliceSource::kCached, SliceSource::kHost}) {
-    ScanPlan plan;
-    plan.device = &hal.device_config();
-    ScanQuery& query = plan.queries.emplace_back();
-    ASSERT_TRUE(query.SetView(input).ok());
-    auto result = ZeroedInt16Bat(input.count());
-    ASSERT_TRUE(result.ok());
-    query.result = result->get();
-    query.config = &*config;
-    query.slices.push_back({source, 0, input.count(), three_rows});
-    EXPECT_EQ(ExecuteScanPlan(&plan).code(), StatusCode::kInternal);
-  }
+  ScanPlan plan;
+  plan.device = &hal.device_config();
+  ScanQuery& query = plan.queries.emplace_back();
+  ASSERT_TRUE(query.SetView(input).ok());
+  auto result = ZeroedInt16Bat(input.count());
+  ASSERT_TRUE(result.ok());
+  query.result = result->get();
+  query.config = &*config;
+  query.slices.push_back({SliceSource::kCached, 0, input.count(), three_rows});
+  EXPECT_EQ(ExecuteScanPlan(&plan).code(), StatusCode::kInternal);
 }
 
 // --- One cache contract across layers ---------------------------------------
@@ -844,12 +869,6 @@ std::vector<int16_t> CachedValues(ResultCache* cache,
                       input.count());
 }
 
-int64_t Nonzero(const std::vector<int16_t>& values) {
-  int64_t n = 0;
-  for (int16_t v : values) n += v != 0;
-  return n;
-}
-
 struct PathRun {
   std::vector<int16_t> values;    // what the path returned
   std::vector<int16_t> expected;  // an uncached direct scan
@@ -893,8 +912,9 @@ void RunSchedulerPath(QueryScheduler::Options options, bool set_member,
   run->block_expected = run->expected;
 }
 
-/// The rows a hybrid path scans.
-enum class Scanned { kAll, kNone, kAppended, kCoarseCandidates };
+/// The rows a hybrid path scans: a refine resumes the cached prefix
+/// block's candidates without scanning them.
+enum class Scanned { kAll, kNone, kAppended };
 
 /// Runs `pattern` through the hybrid executor with a cache that a run of
 /// `seed` (if any) filled, after `grow` more rows were appended.
@@ -930,9 +950,6 @@ void RunHybridPath(const char* seed, int grow, const char* pattern,
     case Scanned::kAll: run->scanned = input.count(); break;
     case Scanned::kNone: run->scanned = 0; break;
     case Scanned::kAppended: run->scanned = grow; break;
-    case Scanned::kCoarseCandidates:
-      run->scanned = Nonzero(DirectResult(&hal, input, kCoarse));
-      break;
   }
 }
 
@@ -1002,7 +1019,7 @@ const CacheContractCase kContractCases[] = {
      }},
     {"HybridPrefixSubsumedRefine", "fpga+cache_prefilter",
      [](PathRun* run) {
-       RunHybridPath(kCoarse, 0, kProgram, Scanned::kCoarseCandidates, run);
+       RunHybridPath(kCoarse, 0, kProgram, Scanned::kNone, run);
      }},
     {"HybridPartialExtent", "fpga+cache_prefix",
      [](PathRun* run) {

@@ -13,6 +13,7 @@
 
 #include "db/column_store.h"
 #include "db/hudf.h"
+#include "db/hybrid_executor.h"
 #include "hal/hal.h"
 #include "mem/arena.h"
 #include "obs/metrics.h"
@@ -21,6 +22,8 @@
 #include "store/segment.h"
 #include "store/segmented_column.h"
 #include "store/stream_executor.h"
+#include "workload/address_generator.h"
+#include "workload/queries.h"
 
 namespace doppio {
 namespace {
@@ -636,6 +639,144 @@ TEST(SegmentedEngineTest, EvalSegmentedMatchesResidentEval) {
   auto bits = engine.EvalSegmentedFilter("t", "addr", spec, nullptr);
   ASSERT_TRUE(bits.ok());
   EXPECT_EQ(static_cast<int64_t>(bits->size()), before);
+}
+
+// --- Split plans over segmented columns ------------------------------------
+//
+// QH needs 28 character matchers and the default device holds 24, so
+// REGEXP_HYBRID and REGEXP_AUTO split it: each window streams the Q2
+// prefix and resumes its candidates with the plan's continuation.
+
+/// Generated addresses, 30% of which match QH and 20% only its Q2
+/// prefix (candidates the suffix rejects), then rows no prefix matches,
+/// so the last segments carry no candidates.
+std::vector<std::string> SplitRows() {
+  AddressDataOptions data;
+  data.num_records = 600;
+  data.selectivity = 0;
+  data.q2_selectivity = 0.2;
+  data.qh_selectivity = 0.3;
+  auto table = GenerateAddressTable(data, "addr");
+  EXPECT_TRUE(table.ok());
+  std::vector<std::string> rows;
+  const Bat* src = (*table)->GetColumn("address_string");
+  for (int64_t i = 0; i < src->count(); ++i) {
+    rows.emplace_back(src->GetString(i));
+  }
+  for (int i = 0; i < 200; ++i) rows.push_back("no address at all");
+  return rows;
+}
+
+TEST(SegmentedSplitTest, HybridAndAutoReturnTheResidentResult) {
+  Hal hal(TestHal(2));
+  sched::ResultCache cache(1 << 22);
+  ColumnStoreEngine::Options options;
+  options.num_threads = 4;
+  options.hal = &hal;
+  options.result_cache = &cache;
+  options.segment_target_bytes = 4 * 1024;
+  ColumnStoreEngine engine(options);
+  ASSERT_TRUE(engine.CreateSegmentedColumn("t", "addr").ok());
+  const std::vector<std::string> rows = SplitRows();
+  ASSERT_TRUE(engine.AppendToSegmented("t", "addr", rows, /*seal=*/true).ok());
+  ASSERT_GE(engine.segmented_column("t", "addr")->Snapshot().segments.size(),
+            2u);
+  Bat resident(ValueType::kString, hal.bat_allocator());
+  for (const std::string& row : rows) {
+    ASSERT_TRUE(resident.AppendString(row).ok());
+  }
+
+  StringFilterSpec spec;
+  spec.pattern = QueryPattern(EvalQuery::kQH);
+  spec.op = StringFilterSpec::Op::kRegexpFpga;
+  EXPECT_TRUE(engine.EvalSegmentedFilter("t", "addr", spec, nullptr)
+                  .status()
+                  .IsCapacityExceeded());
+  for (StringFilterSpec::Op op :
+       {StringFilterSpec::Op::kHybrid, StringFilterSpec::Op::kAuto}) {
+    spec.op = op;
+    auto expected = engine.EvalStringFilter(resident, spec, nullptr);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    // Cold, then with every segment's prefix block cached.
+    for (int pass = 0; pass < 2; ++pass) {
+      QueryStats stats;
+      auto got = engine.EvalSegmentedFilter("t", "addr", spec, &stats);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(*got, *expected) << "pass " << pass;
+      EXPECT_EQ(stats.strategy, op == StringFilterSpec::Op::kAuto
+                                    ? "auto->hybrid-streamed"
+                                    : "hybrid-streamed");
+      EXPECT_GT(stats.config_gen_seconds, 0.0);
+    }
+  }
+
+  // A pattern with no device part returns the typed error.
+  spec.op = StringFilterSpec::Op::kHybrid;
+  spec.pattern = "^" + QueryPattern(EvalQuery::kQH);
+  EXPECT_TRUE(engine.EvalSegmentedFilter("t", "addr", spec, nullptr)
+                  .status()
+                  .IsInvalidArgument());
+}
+
+TEST(SegmentedSplitTest, StreamedContinuationEqualsExecuteHybrid) {
+  for (int devices : {1, 2}) {
+    Hal hal(TestHal(devices));
+    const std::vector<std::string> rows = SplitRows();
+    Bat resident(ValueType::kString, hal.bat_allocator());
+    for (const std::string& row : rows) {
+      ASSERT_TRUE(resident.AppendString(row).ok());
+    }
+    auto plan = PlanHybrid(QueryPattern(EvalQuery::kQH), hal.device_config());
+    ASSERT_TRUE(plan.ok());
+    ASSERT_EQ(plan->strategy, HybridStrategy::kHybrid);
+    auto expected = ExecuteHybrid(&hal, resident, *plan);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+
+    Pager pager(hal.arena(), PagerOptions{});
+    auto column = BuildSegmented(&pager, rows, 4 * 1024);
+    const SegmentSnapshot snapshot = column->Snapshot();
+    sched::ResultCache cache(1 << 22);
+    StreamOptions sopts;
+    sopts.result_cache = &cache;
+    obs::Counter* hits = obs::MetricsRegistry::Global().GetCounter(
+        "doppio.store.window_cache_hits");
+    const ScanContinuation continuation = ContinuationOf(*plan);
+    for (int pass = 0; pass < 2; ++pass) {
+      const int64_t hits_before = hits->Value();
+      auto out = RegexpFpgaStreamed(&hal, &pager, snapshot,
+                                    *plan->fpga_config, sopts, &continuation);
+      ASSERT_TRUE(out.ok()) << out.status().ToString();
+      EXPECT_EQ(out->stats.strategy, "hybrid-streamed");
+      ASSERT_EQ(out->result->count(), resident.count());
+      for (int64_t i = 0; i < resident.count(); ++i) {
+        ASSERT_EQ(out->result->GetInt16(i), expected->result->GetInt16(i))
+            << devices << " devices, pass " << pass << ", row " << i;
+      }
+      EXPECT_EQ(out->stats.rows_matched, expected->stats.rows_matched);
+      if (pass == 0) {
+        EXPECT_EQ(out->stats.rows_scanned, snapshot.rows);
+        continue;
+      }
+      // Warm: every window is a cache hit, and none scans. Windows with
+      // candidates were pinned and resumed; the rest were served up
+      // front.
+      EXPECT_EQ(hits->Value() - hits_before,
+                static_cast<int64_t>(snapshot.segments.size()));
+      EXPECT_EQ(out->stats.rows_scanned, 0);
+      EXPECT_EQ(out->stats.windows_streamed, 0);
+      int with_candidates = 0;
+      int without = 0;
+      for (const auto& segment : snapshot.segments) {
+        CacheHit hit = ResolveCached(&cache, *plan->fpga_config,
+                                     {segment->id(), Segment::kSealedVersion},
+                                     segment->rows(), {.prefix = false});
+        ASSERT_NE(hit.block, nullptr);
+        (hit.block->rows_matched > 0 ? with_candidates : without) += 1;
+      }
+      EXPECT_GT(with_candidates, 0);
+      EXPECT_GT(without, 0);
+    }
+  }
 }
 
 }  // namespace
