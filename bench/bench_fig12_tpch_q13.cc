@@ -7,6 +7,7 @@
 // Second act (docs/STORAGE.md): the same Q13 predicate over an
 // OUT-OF-CORE o_comment column — a scale-factor × arena-budget sweep
 // through the paged segment store, double-buffered overlap on vs off,
+// plus one warm repeat that keeps what the budget left resident,
 // emitted to BENCH_segments.json (override: DOPPIO_BENCH_JSON;
 // DOPPIO_BENCH_SMOKE=1 shrinks the sweep). All times in the sweep are
 // modeled/virtual, so the committed JSON is byte-stable across hosts.
@@ -44,16 +45,24 @@ struct SweepCell {
   int64_t payload_bytes = 0;
   int64_t budget_bytes = 0;
   int windows = 0;
+  /// Windows the budget keeps resident at once: one arena page each.
+  int64_t budget_windows = 0;
   double resident_seconds = 0;  // fully-resident pooled scan (virtual)
   double serial_seconds = 0;    // page-then-scan, overlap off (modeled)
   double overlap_seconds = 0;   // double-buffered (modeled)
   double page_in_seconds = 0;
+  int64_t page_ins = 0;         // of the double-buffered scan
+  /// A double-buffered repeat right after it, with whatever the budget
+  /// kept resident (modeled).
+  double warm_seconds = 0;
+  int64_t warm_page_ins = 0;
   int64_t divergent_rows = 0;
 };
 
-/// Scans o_comment at `scale` through a budget-bounded pager, overlap on
-/// and off, comparing every row against the resident scan. Exits the
-/// process on infrastructure errors (bench convention).
+/// Scans o_comment at `scale` through a budget-bounded pager, overlap off
+/// and on from a cold pager, then once more warm, comparing every row
+/// against the resident scan. Exits the process on infrastructure errors
+/// (bench convention).
 SweepCell RunSweepCell(Hal* hal, const Bat& comments,
                        const std::vector<int16_t>& expected,
                        double resident_seconds, double scale,
@@ -62,6 +71,7 @@ SweepCell RunSweepCell(Hal* hal, const Bat& comments,
   cell.scale = scale;
   cell.rows = comments.count();
   cell.budget_bytes = budget_bytes;
+  cell.budget_windows = budget_bytes / kSharedPageBytes;
   cell.resident_seconds = resident_seconds;
 
   PagerOptions popts;
@@ -89,9 +99,13 @@ SweepCell RunSweepCell(Hal* hal, const Bat& comments,
     std::fprintf(stderr, "compile: %s\n", config.status().ToString().c_str());
     std::exit(1);
   }
-  for (bool overlap : {false, true}) {
+  const obs::Counter* page_ins =
+      obs::MetricsRegistry::Global().GetCounter("doppio.store.page_ins");
+  enum class Run { kSerial, kOverlap, kWarm };
+  for (Run run : {Run::kSerial, Run::kOverlap, Run::kWarm}) {
     StreamOptions sopts;
-    sopts.overlap = overlap;
+    sopts.overlap = run != Run::kSerial;
+    const int64_t page_ins_before = page_ins->Value();
     auto out = RegexpFpgaStreamed(hal, &pager, snapshot, *config, sopts);
     if (!out.ok()) {
       std::fprintf(stderr, "streamed scan: %s\n",
@@ -103,13 +117,24 @@ SweepCell RunSweepCell(Hal* hal, const Bat& comments,
         ++cell.divergent_rows;
       }
     }
-    if (overlap) {
-      cell.overlap_seconds = out->stats.hw_seconds;
-      cell.page_in_seconds = out->stats.page_in_seconds;
-    } else {
-      cell.serial_seconds = out->stats.hw_seconds;
+    const int64_t paged = page_ins->Value() - page_ins_before;
+    switch (run) {
+      case Run::kSerial:
+        cell.serial_seconds = out->stats.hw_seconds;
+        // The double-buffered scan starts cold too: same modeled
+        // transfers.
+        pager.DropClean();
+        break;
+      case Run::kOverlap:
+        cell.overlap_seconds = out->stats.hw_seconds;
+        cell.page_in_seconds = out->stats.page_in_seconds;
+        cell.page_ins = paged;
+        break;
+      case Run::kWarm:
+        cell.warm_seconds = out->stats.hw_seconds;
+        cell.warm_page_ins = paged;
+        break;
     }
-    pager.DropClean();  // both runs start cold: same modeled transfers
   }
   return cell;
 }
@@ -126,16 +151,17 @@ int RunSegmentSweep() {
       smoke ? std::vector<double>{0.01, 0.02}
             : std::vector<double>{0.02, 0.05, 0.1};
   const std::vector<int64_t> budgets =
-      smoke ? std::vector<int64_t>{2 * kSharedPageBytes}
+      smoke ? std::vector<int64_t>{2 * kSharedPageBytes,
+                                   16 * kSharedPageBytes}
             : std::vector<int64_t>{2 * kSharedPageBytes,
                                    4 * kSharedPageBytes,
                                    16 * kSharedPageBytes};
 
   std::printf("\nout-of-core sweep: Q13 predicate over a paged o_comment "
               "column\n");
-  std::printf("%7s %9s %10s %8s %8s %11s %11s %9s\n", "scale", "rows",
-              "payload", "budget", "windows", "serial[s]", "overlap[s]",
-              "speedup");
+  std::printf("%7s %9s %10s %8s %8s %11s %11s %9s %11s %10s\n", "scale",
+              "rows", "payload", "budget", "windows", "serial[s]",
+              "overlap[s]", "speedup", "warm[s]", "warm-paged");
 
   obs::JsonWriter json;
   json.BeginObject();
@@ -217,13 +243,18 @@ int RunSegmentSweep() {
       json.Field("page_in_seconds", cell.page_in_seconds);
       json.Field("overlap_speedup", obs::FiniteOr(speedup));
       json.Field("divergent_rows", cell.divergent_rows);
+      json.Field("budget_windows", cell.budget_windows);
+      json.Field("page_ins", cell.page_ins);
+      json.Field("warm_seconds", cell.warm_seconds);
+      json.Field("warm_page_ins", cell.warm_page_ins);
       json.EndObject();
-      std::printf("%7.2f %9lld %10lld %7lldM %8d %11.6f %11.6f %8.2fx\n",
-                  cell.scale, static_cast<long long>(cell.rows),
-                  static_cast<long long>(cell.payload_bytes),
-                  static_cast<long long>(cell.budget_bytes >> 20),
-                  cell.windows, cell.serial_seconds, cell.overlap_seconds,
-                  speedup);
+      std::printf(
+          "%7.2f %9lld %10lld %7lldM %8d %11.6f %11.6f %8.2fx %11.6f %10lld\n",
+          cell.scale, static_cast<long long>(cell.rows),
+          static_cast<long long>(cell.payload_bytes),
+          static_cast<long long>(cell.budget_bytes >> 20), cell.windows,
+          cell.serial_seconds, cell.overlap_seconds, speedup,
+          cell.warm_seconds, static_cast<long long>(cell.warm_page_ins));
     }
   }
   json.EndArray();

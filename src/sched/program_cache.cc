@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "db/hybrid_executor.h"
 #include "obs/metrics.h"
 
 namespace doppio {
@@ -219,6 +220,49 @@ Result<std::shared_ptr<const CachedProgram>> ProgramCache::GetOrCompile(
   PruneEvictedLocked();
   RefreshGaugesLocked();
   return slot_entry;
+}
+
+Result<CachedPlan> ProgramCache::GetOrPlan(std::string_view pattern,
+                                           const CompileOptions& options) {
+  std::string key = MakeKey(pattern, options);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = plan_index_.find(key);
+    if (it != plan_index_.end()) {
+      plan_lru_.splice(plan_lru_.begin(), plan_lru_, it->second);
+      ++hits_;
+      HitsCounter().Add();
+      return it->second->second;
+    }
+  }
+  auto compiled = GetOrCompile(pattern, options);
+  if (compiled.ok()) return CachedPlan{std::move(*compiled), nullptr};
+  if (!compiled.status().IsCapacityExceeded()) return compiled.status();
+
+  DOPPIO_ASSIGN_OR_RETURN(HybridPlan plan,
+                          PlanHybrid(pattern, device_, options));
+  CachedPlan planned;
+  if (plan.strategy == HybridStrategy::kHybrid) {
+    DOPPIO_ASSIGN_OR_RETURN(planned.program,
+                            GetOrCompile(plan.fpga_pattern, plan.options));
+    planned.continuation =
+        std::make_shared<const ScanContinuation>(ContinuationOf(plan));
+  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  ++misses_;
+  MissesCounter().Add();
+  auto it = plan_index_.find(key);
+  if (it != plan_index_.end()) {  // a concurrent miss planned it first
+    plan_lru_.splice(plan_lru_.begin(), plan_lru_, it->second);
+    return it->second->second;
+  }
+  plan_lru_.emplace_front(std::move(key), planned);
+  plan_index_.emplace(plan_lru_.front().first, plan_lru_.begin());
+  if (static_cast<int>(plan_lru_.size()) > capacity_) {
+    plan_index_.erase(plan_lru_.back().first);
+    plan_lru_.pop_back();
+  }
+  return planned;
 }
 
 Result<std::shared_ptr<const CachedSetProgram>> ProgramCache::GetOrCompileSet(

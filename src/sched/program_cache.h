@@ -19,6 +19,12 @@
 // patterns coalesced in any order — or spelled with aliasing textual
 // variants — resolves to one cached compilation, and the sorted order IS
 // the output-stream order.
+//
+// A pattern that exceeds the deployed geometry never gets a program slot
+// (its compile fails). GetOrPlan plans it once instead, and keeps the
+// plan's outcome under (pattern, options) in a third LRU: the '.*'-cut
+// prefix's program plus a shared continuation, or the verdict that no
+// prefix fits.
 #pragma once
 
 #include <cstdint>
@@ -39,6 +45,8 @@
 #include "regex/matcher.h"
 
 namespace doppio {
+struct ScanContinuation;  // db/hudf.h
+
 namespace sched {
 
 /// One cached compilation: the configuration vector (what the device
@@ -67,12 +75,23 @@ struct CachedSetProgram {
   int StreamOf(std::string_view fingerprint) const;
 };
 
+/// What a scan of (pattern, options) runs: the pattern's program, or for
+/// a pattern beyond the deployed geometry, the program of its '.*'-cut
+/// prefix and the continuation that resumes the prefix's candidates into
+/// the full pattern's values (db/hybrid_executor.h PlanHybrid). Both
+/// null: no prefix fits, so the pattern has no device part.
+struct CachedPlan {
+  std::shared_ptr<const CachedProgram> program;
+  /// Set iff the pattern was split.
+  std::shared_ptr<const ScanContinuation> continuation;
+};
+
 class ProgramCache {
  public:
   /// `capacity` >= 1: the maximum number of distinct compiled programs
   /// kept (fingerprint slots, however many textual aliases each has); the
   /// least-recently-used slot is evicted beyond that. Set programs are
-  /// held in a second LRU of the same capacity.
+  /// held in a second LRU of the same capacity, and plans in a third.
   ProgramCache(const DeviceConfig& device, int capacity);
 
   DOPPIO_DISALLOW_COPY_AND_ASSIGN(ProgramCache);
@@ -86,6 +105,17 @@ class ProgramCache {
   /// occupies a slot. Thread-safe.
   Result<std::shared_ptr<const CachedProgram>> GetOrCompile(
       std::string_view pattern, const CompileOptions& options = {});
+
+  /// GetOrCompile, except that a pattern that exceeds the geometry
+  /// (CapacityExceeded) is planned instead of failing. The outcome — the
+  /// prefix's program, itself from GetOrCompile, plus a shared
+  /// continuation, or the no-device-part verdict — is cached under
+  /// (pattern, options) in a third LRU of `capacity` plans, so a repeat
+  /// neither compiles the full pattern nor plans again. A cached plan
+  /// counts one hit; planning counts one miss besides the prefix's own
+  /// lookup. Thread-safe.
+  Result<CachedPlan> GetOrPlan(std::string_view pattern,
+                               const CompileOptions& options = {});
 
   /// Returns the cached set compilation over `members` (each obtained
   /// from GetOrCompile), compiling the union NFA on a miss. Members are
@@ -179,6 +209,11 @@ class ProgramCache {
   std::unordered_map<std::string, decltype(set_lru_)::iterator> set_index_;
   int64_t set_hits_ = 0;
   int64_t set_misses_ = 0;
+
+  /// Plans of patterns beyond the geometry: a third LRU, keyed like
+  /// by_alias_ (MakeKey).
+  std::list<std::pair<std::string, CachedPlan>> plan_lru_;
+  std::unordered_map<std::string, decltype(plan_lru_)::iterator> plan_index_;
 };
 
 }  // namespace sched

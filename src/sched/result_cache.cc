@@ -44,6 +44,21 @@ obs::Counter* IncompleteCounter() {
   return c;
 }
 
+obs::Counter* AdmissionRejectsCounter() {
+  static obs::Counter* c = obs::MetricsRegistry::Global().GetCounter(
+      "doppio.sched.result_cache.admission_rejects",
+      "result blocks refused by admission: empty, over the whole budget, "
+      "or referenced less often than an LRU victim they would evict");
+  return c;
+}
+
+// The (fingerprint, column) part of an entry key: everything before the
+// version. The version is decimal digits, so the last separator is the
+// one in front of it, whatever bytes the fingerprint holds.
+std::string_view RefKeyOf(std::string_view key) {
+  return key.substr(0, key.rfind('\x1f'));
+}
+
 obs::Gauge* BytesGauge() {
   static obs::Gauge* g = obs::MetricsRegistry::Global().GetGauge(
       "doppio.sched.result_cache.bytes",
@@ -83,6 +98,7 @@ ResultCache::ResultCache(int64_t max_bytes)
   MissesCounter();
   EvictionsCounter();
   IncompleteCounter();
+  AdmissionRejectsCounter();
   BytesGauge();
   BytesSavedCounter();
   PrefilterUsesCounter();
@@ -116,12 +132,14 @@ std::shared_ptr<const CachedResultBlock> ResultCache::Get(
     if (count_miss) {
       ++misses_;
       MissesCounter()->Add();
+      CountReferenceLocked(key);
     }
     return nullptr;
   }
   lru_.splice(lru_.begin(), lru_, it->second);
   ++hits_;
   HitsCounter()->Add();
+  CountReferenceLocked(key);
   bytes_saved_ += it->second->block->bytes();
   BytesSavedCounter()->Add(it->second->block->bytes());
   return it->second->block;
@@ -166,7 +184,6 @@ std::shared_ptr<const CachedResultBlock> ResultCache::GetPrefix(
 bool ResultCache::Put(std::string_view fingerprint, uint64_t column_id,
                       uint64_t column_version, std::vector<uint16_t> values,
                       bool degraded) {
-  if (values.empty()) return false;
   // Completeness guard (the saturation-reuse hazard, ISSUE 9): 65535 means
   // "matched, true end position truncated". A block holding one is not a
   // faithful record of the scan, so it must never be replayed or seed a
@@ -185,10 +202,16 @@ bool ResultCache::Put(std::string_view fingerprint, uint64_t column_id,
   for (uint16_t v : block->values) {
     if (v != 0) ++block->rows_matched;
   }
-  if (block->bytes() > max_bytes_) return false;
+  const int64_t block_bytes = block->bytes();
 
   const std::string key = MakeKey(fingerprint, column_id, column_version);
   std::lock_guard<std::mutex> lock(mutex_);
+  // An empty block holds nothing to serve; one larger than the whole
+  // budget would flush everything else.
+  if (block->values.empty() || block_bytes > max_bytes_) {
+    RejectLocked();
+    return false;
+  }
   auto it = index_.find(key);
   if (it != index_.end()) {
     // Scans are deterministic per (fingerprint, column, version): the
@@ -196,11 +219,27 @@ bool ResultCache::Put(std::string_view fingerprint, uint64_t column_id,
     lru_.splice(lru_.begin(), lru_, it->second);
     return true;
   }
+  // Admission: compare the new block against exactly the LRU-tail
+  // victims it needs, and refuse it — evicting nothing — when any of
+  // them is referenced more often. The budget holds the block, so the
+  // walk stops before the list ends.
+  const int64_t excess = bytes_ + block_bytes - max_bytes_;
+  if (excess > 0) {
+    const int64_t refs = ReferencesLocked(key);
+    int64_t freed = 0;
+    for (auto victim = lru_.rbegin(); freed < excess; ++victim) {
+      if (ReferencesLocked(victim->key) > refs) {
+        RejectLocked();
+        return false;
+      }
+      freed += victim->block->bytes();
+    }
+  }
   lru_.push_front(Entry{key, column_id, std::move(block)});
   index_[key] = lru_.begin();
   by_column_.emplace(column_id, key);
-  bytes_ += lru_.front().block->bytes();
-  while (bytes_ > max_bytes_ && lru_.size() > 1) {
+  bytes_ += block_bytes;
+  while (bytes_ > max_bytes_) {
     ++evictions_;
     EvictionsCounter()->Add();
     EraseLocked(std::prev(lru_.end()));
@@ -233,6 +272,8 @@ void ResultCache::Clear() {
   lru_.clear();
   index_.clear();
   by_column_.clear();
+  refs_.clear();
+  lookups_since_halving_ = 0;
   bytes_ = 0;
   SetBytesGaugeLocked();
 }
@@ -251,6 +292,35 @@ void ResultCache::EraseLocked(std::list<Entry>::iterator it) {
 }
 
 void ResultCache::SetBytesGaugeLocked() { BytesGauge()->Set(bytes_); }
+
+void ResultCache::CountReferenceLocked(std::string_view key) {
+  const std::string_view ref = RefKeyOf(key);
+  auto it = refs_.find(ref);
+  if (it != refs_.end()) {
+    ++it->second;
+  } else {
+    refs_.emplace(std::string(ref), 1);
+  }
+  const int64_t period =
+      kHalvingLookups *
+      std::max<int64_t>(kMinHalvingEntries, static_cast<int64_t>(lru_.size()));
+  if (++lookups_since_halving_ < period) return;
+  lookups_since_halving_ = 0;
+  for (auto c = refs_.begin(); c != refs_.end();) {
+    c->second /= 2;
+    c = c->second == 0 ? refs_.erase(c) : std::next(c);
+  }
+}
+
+int64_t ResultCache::ReferencesLocked(std::string_view key) const {
+  auto it = refs_.find(RefKeyOf(key));
+  return it == refs_.end() ? 0 : it->second;
+}
+
+void ResultCache::RejectLocked() {
+  ++admission_rejects_;
+  AdmissionRejectsCounter()->Add();
+}
 
 void ResultCache::CountPrefilterUse(int64_t rows_avoided) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -298,6 +368,11 @@ int64_t ResultCache::invalidations() const {
 int64_t ResultCache::incomplete_skipped() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return incomplete_skipped_;
+}
+
+int64_t ResultCache::admission_rejects() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return admission_rejects_;
 }
 
 int64_t ResultCache::bytes() const {

@@ -26,11 +26,20 @@
 //    the caller's admitted row count — a concurrent append between
 //    admission and execution misses instead of serving the wrong extent.
 //
-// Byte-budgeted LRU; all counters mirrored into the metrics registry
-// under doppio.sched.result_cache.*.
+// Byte-budgeted LRU with frequency-aware admission: every counted lookup
+// adds one reference to its (fingerprint, column) — the version is left
+// out, so a segment block and a resident column's appended versions each
+// keep one count — and a Put that can fit only by evicting is refused
+// when any LRU victim it needs was referenced more often than the new
+// block (TinyLFU-style; ties admit, so with no references to tell blocks
+// apart this is plain LRU). Counts halve after a fixed number of counted
+// lookups per resident entry, so a pattern that has cooled off can be
+// displaced and the count table stays bounded. All counters are mirrored
+// into the metrics registry under doppio.sched.result_cache.*.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -65,7 +74,14 @@ class ResultCache {
   /// The kernels' saturation value: "matched, end position >= 65535".
   static constexpr uint16_t kSaturated = 65535;
 
-  /// `max_bytes` >= 1: LRU byte budget over the sum of entry bytes().
+  /// Reference counts halve once the counted lookups since the last
+  /// halving reach kHalvingLookups * max(kMinHalvingEntries, size()).
+  /// Counts of 0 are dropped, so the table holds at most twice that many
+  /// keys.
+  static constexpr int64_t kHalvingLookups = 16;
+  static constexpr int64_t kMinHalvingEntries = 64;
+
+  /// `max_bytes` >= 1: byte budget over the sum of entry bytes().
   explicit ResultCache(int64_t max_bytes);
 
   DOPPIO_DISALLOW_COPY_AND_ASSIGN(ResultCache);
@@ -75,7 +91,8 @@ class ResultCache {
   /// snapshot) — anything else is a miss, counted unless `count_miss` is
   /// false (a re-probe of a lookup that already counted). A hit promotes
   /// the entry and credits bytes_saved with the rescan output it avoided.
-  /// Thread-safe.
+  /// A hit and a counted miss each add one reference to (fingerprint,
+  /// column), the count admission compares. Thread-safe.
   std::shared_ptr<const CachedResultBlock> Get(std::string_view fingerprint,
                                                uint64_t column_id,
                                                uint64_t column_version,
@@ -89,16 +106,22 @@ class ResultCache {
   /// covers — the caller serves those rows from cache and scans only the
   /// appended tail [block->rows(), rows). A find promotes the entry and
   /// counts a partial hit (never a miss — callers try Get() first and
-  /// that already counted). Thread-safe.
+  /// that already counted, the reference included). Thread-safe.
   std::shared_ptr<const CachedResultBlock> GetPrefix(
       std::string_view fingerprint, uint64_t column_id, int64_t rows);
 
-  /// Inserts a completed scan's result block. Returns false — caching
-  /// nothing — when the block is empty, `degraded` (any slice fell back
-  /// to software or the run was timing-only), or fails the completeness
-  /// guard (contains a kSaturated value). Re-inserting an existing key
-  /// just promotes it. Entries larger than the whole budget are refused
-  /// rather than evicting everything. Thread-safe.
+  /// Inserts a completed scan's result block, evicting LRU-tail entries
+  /// while the budget is exceeded. Re-inserting an existing key just
+  /// promotes it. Returns false, caching and evicting nothing, when:
+  ///  * the block is `degraded` (any slice fell back to software or the
+  ///    run was timing-only) or contains a kSaturated value — the
+  ///    completeness guard, checked first (incomplete_skipped());
+  ///  * the block is empty, or larger than the whole budget
+  ///    (admission_rejects());
+  ///  * it fits only by evicting, and one of the LRU-tail victims it would
+  ///    need has more references than (fingerprint, column) has
+  ///    (admission_rejects()).
+  /// Thread-safe.
   bool Put(std::string_view fingerprint, uint64_t column_id,
            uint64_t column_version, std::vector<uint16_t> values,
            bool degraded);
@@ -125,6 +148,9 @@ class ResultCache {
   int64_t invalidations() const;
   /// Puts refused by the completeness guard (saturated or degraded).
   int64_t incomplete_skipped() const;
+  /// Puts refused by admission: empty, larger than the budget, or
+  /// referenced less often than an LRU victim they would evict.
+  int64_t admission_rejects() const;
   int64_t bytes() const;
   int64_t bytes_saved() const;
   int64_t prefilter_uses() const;
@@ -143,9 +169,27 @@ class ResultCache {
     std::shared_ptr<const CachedResultBlock> block;
   };
 
+  /// Transparent hashing: the reference table is probed with a
+  /// string_view into a composed entry key, never a fresh string.
+  struct RefHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view key) const {
+      return std::hash<std::string_view>()(key);
+    }
+  };
+
   /// Unlinks the entry at `it` from every index. Caller holds mutex_.
   void EraseLocked(std::list<Entry>::iterator it);
   void SetBytesGaugeLocked();
+  /// Adds one reference to the (fingerprint, column) of the entry key
+  /// `key`, halving every count once the period is over. Caller holds
+  /// mutex_.
+  void CountReferenceLocked(std::string_view key);
+  /// References to the (fingerprint, column) of the entry key `key`.
+  /// Caller holds mutex_.
+  int64_t ReferencesLocked(std::string_view key) const;
+  /// Counts one admission refusal. Caller holds mutex_.
+  void RejectLocked();
 
   const int64_t max_bytes_;
 
@@ -155,6 +199,11 @@ class ResultCache {
   std::unordered_map<std::string, std::list<Entry>::iterator> index_;
   /// column id -> keys currently cached for it (explicit invalidation).
   std::unordered_multimap<uint64_t, std::string> by_column_;
+  /// (fingerprint, column) -> references since the counts last halved;
+  /// keyed by the entry key's prefix up to its version, whether or not a
+  /// block is cached.
+  std::unordered_map<std::string, int64_t, RefHash, std::equal_to<>> refs_;
+  int64_t lookups_since_halving_ = 0;
   int64_t bytes_ = 0;
   int64_t hits_ = 0;
   int64_t partial_hits_ = 0;
@@ -162,6 +211,7 @@ class ResultCache {
   int64_t evictions_ = 0;
   int64_t invalidations_ = 0;
   int64_t incomplete_skipped_ = 0;
+  int64_t admission_rejects_ = 0;
   int64_t bytes_saved_ = 0;
   int64_t prefilter_uses_ = 0;
   int64_t prefilter_rejects_ = 0;

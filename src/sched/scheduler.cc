@@ -7,7 +7,6 @@
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
-#include "db/hybrid_executor.h"
 #include "obs/metrics.h"
 
 namespace doppio {
@@ -292,29 +291,16 @@ Result<QueryTicket> QueryScheduler::Submit(Session* session, const Bat& input,
   request->admit_rows = input.count();
   request->cost_rows = std::max<int64_t>(request->admit_rows, 1);
 
-  // Route at admission: compile (or hit the cache). A pattern that
-  // exceeds the geometry is planned: a split scans its prefix's cached
-  // program and carries the plan's continuation, and only a plan with no
-  // device part overflows to the CPU DFA. Then consult the cost model for
-  // inputs the host serves faster than a device round-trip.
-  auto compiled = cache_.GetOrCompile(pattern, options);
-  if (compiled.ok()) {
-    request->program = *compiled;
-  } else if (compiled.status().IsCapacityExceeded()) {
-    DOPPIO_ASSIGN_OR_RETURN(
-        HybridPlan plan, PlanHybrid(pattern, hal_->device_config(), options));
-    if (plan.strategy == HybridStrategy::kHybrid) {
-      DOPPIO_ASSIGN_OR_RETURN(
-          request->program,
-          cache_.GetOrCompile(plan.fpga_pattern, plan.options));
-      request->continuation =
-          std::make_shared<ScanContinuation>(ContinuationOf(plan));
-    } else {
-      request->route = Route::kCpuDfa;
-    }
-  } else {
-    return compiled.status();
-  }
+  // Route at admission: compile or plan (or hit the cache). A pattern
+  // that exceeds the geometry is planned once: a split scans its prefix's
+  // cached program and carries the plan's continuation, and only a plan
+  // with no device part overflows to the CPU DFA. Then consult the cost
+  // model for inputs the host serves faster than a device round-trip.
+  DOPPIO_ASSIGN_OR_RETURN(CachedPlan planned,
+                          cache_.GetOrPlan(pattern, options));
+  request->program = std::move(planned.program);
+  request->continuation = std::move(planned.continuation);
+  if (request->program == nullptr) request->route = Route::kCpuDfa;
   // DOPPIO_FORCE_BACKEND=fpga pins eligible work on the device: no
   // cost-model CPU routing (patterns with no device part still go
   // kCpuDfa — the device cannot hold them at all).

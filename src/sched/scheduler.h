@@ -31,11 +31,12 @@
 //    the wave (docs/PATTERN_SETS.md). Unions that exceed one PU fall back
 //    to the classic multi-pass waves.
 //  * Over-capacity patterns — a pattern that exceeds the deployed
-//    geometry is planned like REGEXP_HYBRID (db/hybrid_executor.h): a
-//    split scans its '.*'-cut prefix's program, routed, cached and
-//    coalesced like any other, and the scan executor resumes each
-//    candidate with the plan's continuation. Only a pattern with no
-//    device part runs on the host lazy DFA.
+//    geometry is planned like REGEXP_HYBRID (db/hybrid_executor.h), and
+//    the plan is kept in the ProgramCache (GetOrPlan): a split scans its
+//    '.*'-cut prefix's program, routed, cached and coalesced like any
+//    other, and the scan executor resumes each candidate with the plan's
+//    continuation. Only a pattern with no device part runs on the host
+//    lazy DFA.
 //  * Cost-model routing — small inputs run on the host thread pool (the
 //    same compiled program the engines execute, so results stay
 //    bit-identical), freeing engine time for the scans the FPGA actually

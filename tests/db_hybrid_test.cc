@@ -444,6 +444,49 @@ TEST(SchedulerSplitTest, ACachedSplitIsHostWorkInItsWave) {
   EXPECT_EQ(scanned->route, sched::Route::kFpga);
 }
 
+TEST(SchedulerSplitTest, RepeatedAdmissionsPlanOnce) {
+  // The ProgramCache keeps an over-capacity pattern's plan under (pattern,
+  // options): later admissions neither compile the full pattern nor plan
+  // it again, and every one returns ExecuteHybrid's values.
+  Hal hal(SmallHal(/*max_chars=*/24));
+  auto input = AddressColumn(&hal, 2'000);
+  const std::string qh = QueryPattern(EvalQuery::kQH);
+  auto expected = ExecuteHybrid(&hal, *input, qh);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  sched::QueryScheduler::Options options;
+  options.cost_routing = false;
+  sched::QueryScheduler scheduler(&hal, options);
+  sched::Session* session = scheduler.CreateSession();
+  constexpr int kSubmissions = 5;
+  std::vector<sched::QueryTicket> tickets;
+  for (int i = 0; i < kSubmissions; ++i) {
+    auto ticket = scheduler.Submit(session, *input, qh);
+    ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+    tickets.push_back(std::move(*ticket));
+  }
+  for (const sched::QueryTicket& ticket : tickets) {
+    auto result = scheduler.Wait(ticket);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->route, sched::Route::kFpga);
+    ExpectSameValues(*expected->result, *result->hudf.result, "submission");
+  }
+  // The first admission planned (one miss) and compiled the prefix (one
+  // miss); the others hit the plan.
+  const sched::ProgramCache& cache = scheduler.program_cache();
+  EXPECT_EQ(cache.misses(), 2);
+  EXPECT_EQ(cache.hits(), kSubmissions - 1);
+
+  // The verdict that a pattern has no device part is kept the same way.
+  const std::string anchored = "^" + qh;
+  for (int i = 0; i < kSubmissions; ++i) {
+    auto result = scheduler.Execute(session, *input, anchored);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->route, sched::Route::kCpuDfa);
+  }
+  EXPECT_EQ(cache.misses(), 3);
+  EXPECT_EQ(cache.hits(), 2 * kSubmissions - 2);
+}
+
 TEST(SchedulerSplitTest, ThePrefixProgramIsThePlansConfig) {
   // The scheduler compiles a split's prefix by its rendered pattern at
   // admission. The rendering compiles to the plan's own config bytes, so

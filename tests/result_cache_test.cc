@@ -1,5 +1,6 @@
 // The versioned match-result cache (docs/RESULT_CACHE.md): unit coverage
-// of keying/LRU/guard/invalidation, the scheduler's cache-served route
+// of keying/LRU/guard/invalidation, frequency-aware admission and a
+// concurrent hammer of it, the scheduler's cache-served route
 // (bit-identity, zero-cost grants, admission snapshots, one miss per
 // request), the saturation hazard regression across device-shard
 // boundaries, the hybrid executor's pre-filter reuse, the executor's
@@ -198,6 +199,217 @@ TEST(ResultCacheTest, LruEvictsUnderByteBudgetAndRefusesOversized) {
   std::vector<uint16_t> huge(200, 1);
   EXPECT_FALSE(cache.Put("huge", 1, 1, std::move(huge), false));
   EXPECT_EQ(cache.size(), 2);
+}
+
+// --- Frequency-aware admission ----------------------------------------------
+//
+// A lookup Get counts (a hit, or a miss with count_miss) adds one
+// reference to (fingerprint, column). A Get of another version misses and
+// counts without promoting anything, which is how these tests set counts.
+
+/// Adds `n` references to (fingerprint, column) through counted misses.
+void Reference(ResultCache* cache, const char* fingerprint, uint64_t column,
+               int n) {
+  for (int i = 0; i < n; ++i) {
+    ASSERT_EQ(cache->Get(fingerprint, column, /*column_version=*/999, 4),
+              nullptr);
+  }
+}
+
+TEST(ResultCacheTest, AdmissionTiesAdmitInLruOrder) {
+  // Each 4-row block charges 72 bytes; the budget fits two.
+  ResultCache cache(160);
+  ASSERT_TRUE(cache.Put("a", 1, 1, {1, 0, 0, 0}, false));
+  ASSERT_TRUE(cache.Put("b", 1, 1, {2, 0, 0, 0}, false));
+  ASSERT_NE(cache.Get("a", 1, 1, 4), nullptr);  // "a": 1 reference
+  ASSERT_NE(cache.Get("b", 1, 1, 4), nullptr);  // "b": 1, now MRU
+  Reference(&cache, "c", 1, 1);
+  // Equal counts: "c" evicts the LRU tail "a", exactly as LRU would.
+  ASSERT_TRUE(cache.Put("c", 1, 1, {3, 0, 0, 0}, false));
+  EXPECT_EQ(cache.evictions(), 1);
+  EXPECT_EQ(cache.admission_rejects(), 0);
+  Reference(&cache, "d", 1, 1);
+  // "b" is now the tail; the order admission left is plain LRU's.
+  ASSERT_TRUE(cache.Put("d", 1, 1, {4, 0, 0, 0}, false));
+  EXPECT_EQ(cache.evictions(), 2);
+  EXPECT_EQ(cache.Get("a", 1, 1, 4), nullptr);
+  EXPECT_EQ(cache.Get("b", 1, 1, 4), nullptr);
+  EXPECT_NE(cache.Get("c", 1, 1, 4), nullptr);
+  EXPECT_NE(cache.Get("d", 1, 1, 4), nullptr);
+  EXPECT_EQ(cache.admission_rejects(), 0);
+}
+
+TEST(ResultCacheTest, AdmissionRefusesABlockReferencedLessThanItsVictim) {
+  ResultCache cache(160);
+  ASSERT_TRUE(cache.Put("hot", 1, 1, {1, 0, 0, 0}, false));
+  ASSERT_TRUE(cache.Put("warm", 1, 1, {2, 0, 0, 0}, false));
+  Reference(&cache, "hot", 1, 3);  // "hot" is the LRU tail, 3 references
+  Reference(&cache, "cold", 1, 1);
+  const int64_t bytes = cache.bytes();
+  EXPECT_FALSE(cache.Put("cold", 1, 1, {3, 0, 0, 0}, false));
+  EXPECT_EQ(cache.admission_rejects(), 1);
+  EXPECT_EQ(cache.evictions(), 0);
+  EXPECT_EQ(cache.bytes(), bytes);
+  EXPECT_EQ(cache.size(), 2);
+  EXPECT_NE(cache.Get("hot", 1, 1, 4), nullptr);
+  EXPECT_NE(cache.Get("warm", 1, 1, 4), nullptr);
+  EXPECT_EQ(cache.Get("cold", 1, 1, 4), nullptr);  // "cold": 2
+  // References count per (fingerprint, column): "cold" over another
+  // column does not lift it past "hot"'s 4.
+  Reference(&cache, "cold", 2, 5);
+  EXPECT_FALSE(cache.Put("cold", 1, 1, {3, 0, 0, 0}, false));
+  EXPECT_EQ(cache.admission_rejects(), 2);
+}
+
+TEST(ResultCacheTest, AdmissionComparesEveryVictimItNeeds) {
+  // Three 4-row blocks fill the budget; a 40-row block (144 bytes) needs
+  // the two at the LRU tail, and only those two.
+  ResultCache cache(216);
+  ASSERT_TRUE(cache.Put("a", 1, 1, {1, 0, 0, 0}, false));
+  ASSERT_TRUE(cache.Put("b", 1, 1, {2, 0, 0, 0}, false));
+  ASSERT_TRUE(cache.Put("c", 1, 1, {3, 0, 0, 0}, false));
+  Reference(&cache, "a", 1, 1);
+  Reference(&cache, "b", 1, 3);
+  Reference(&cache, "c", 1, 10);  // not a victim: never compared
+  Reference(&cache, "big", 1, 2);
+  const std::vector<uint16_t> big(40, 7);
+  // Above "a" but below the second victim "b".
+  EXPECT_FALSE(cache.Put("big", 1, 1, big, false));
+  EXPECT_EQ(cache.admission_rejects(), 1);
+  EXPECT_EQ(cache.evictions(), 0);
+  EXPECT_EQ(cache.size(), 3);
+  Reference(&cache, "big", 1, 1);  // ties "b"
+  ASSERT_TRUE(cache.Put("big", 1, 1, big, false));
+  EXPECT_EQ(cache.evictions(), 2);
+  EXPECT_EQ(cache.size(), 2);
+  EXPECT_LE(cache.bytes(), cache.max_bytes());
+  EXPECT_EQ(cache.Get("a", 1, 1, 4), nullptr);
+  EXPECT_EQ(cache.Get("b", 1, 1, 4), nullptr);
+  EXPECT_NE(cache.Get("c", 1, 1, 4), nullptr);
+  EXPECT_NE(cache.Get("big", 1, 1, 40), nullptr);
+}
+
+TEST(ResultCacheTest, HalvingLetsACooledOffPatternBeDisplaced) {
+  ResultCache cache(100);  // one 4-row block
+  ASSERT_TRUE(cache.Put("hot", 1, 1, {1, 0, 0, 0}, false));
+  Reference(&cache, "hot", 1, 10);
+  Reference(&cache, "cold", 1, 1);
+  EXPECT_FALSE(cache.Put("cold", 1, 1, {2, 0, 0, 0}, false));
+  // "hot" cools off: other lookups run four halving periods (10 -> 5 ->
+  // 2 -> 1 -> 0), which clear "cold"'s one reference too.
+  const int64_t period =
+      ResultCache::kHalvingLookups * ResultCache::kMinHalvingEntries;
+  for (int64_t i = 0; i < 4 * period; ++i) {
+    ASSERT_EQ(cache.Get("other", 2, 1, 4), nullptr);
+  }
+  Reference(&cache, "cold", 1, 1);
+  ASSERT_TRUE(cache.Put("cold", 1, 1, {2, 0, 0, 0}, false));
+  EXPECT_EQ(cache.admission_rejects(), 1);
+  EXPECT_EQ(cache.Get("hot", 1, 1, 4), nullptr);
+  EXPECT_NE(cache.Get("cold", 1, 1, 4), nullptr);
+}
+
+TEST(ResultCacheTest, RePuttingAnExistingKeyPromotesIt) {
+  ResultCache cache(160);
+  ASSERT_TRUE(cache.Put("a", 1, 1, {1, 0, 0, 0}, false));
+  ASSERT_TRUE(cache.Put("b", 1, 1, {2, 0, 0, 0}, false));
+  Reference(&cache, "b", 1, 5);
+  // "a" is the tail; a re-put keeps its block, returns true and makes it
+  // MRU, whatever the counts.
+  ASSERT_TRUE(cache.Put("a", 1, 1, {1, 0, 0, 0}, false));
+  EXPECT_EQ(cache.size(), 2);
+  Reference(&cache, "c", 1, 5);
+  ASSERT_TRUE(cache.Put("c", 1, 1, {3, 0, 0, 0}, false));
+  EXPECT_EQ(cache.Get("b", 1, 1, 4), nullptr);
+  EXPECT_NE(cache.Get("a", 1, 1, 4), nullptr);
+  EXPECT_EQ(cache.admission_rejects(), 0);
+}
+
+TEST(ResultCacheTest, CompletenessGuardFiresBeforeAdmission) {
+  ResultCache cache(100);
+  ASSERT_TRUE(cache.Put("hot", 1, 1, {1, 0, 0, 0}, false));
+  Reference(&cache, "hot", 1, 10);
+  // Each of these admission would refuse too; the guard counts them.
+  EXPECT_FALSE(
+      cache.Put("cold", 1, 1, {1, ResultCache::kSaturated, 0, 0}, false));
+  EXPECT_FALSE(cache.Put("cold", 1, 1, {1, 0, 0, 0}, /*degraded=*/true));
+  EXPECT_FALSE(cache.Put("huge", 1, 1, std::vector<uint16_t>(200, 1),
+                         /*degraded=*/true));
+  EXPECT_EQ(cache.incomplete_skipped(), 3);
+  EXPECT_EQ(cache.admission_rejects(), 0);
+  EXPECT_NE(cache.Get("hot", 1, 1, 4), nullptr);
+}
+
+TEST(ResultCacheTest, EveryRefusedPutLeavesATrace) {
+  ResultCache cache(160);
+  EXPECT_FALSE(cache.Put("empty", 1, 1, {}, false));
+  EXPECT_FALSE(cache.Put("huge", 1, 1, std::vector<uint16_t>(200, 1), false));
+  EXPECT_EQ(cache.admission_rejects(), 2);
+  EXPECT_EQ(cache.size(), 0);
+  EXPECT_EQ(cache.bytes(), 0);
+}
+
+TEST(ResultCacheTest, ConcurrentGetPutInvalidateKeepBudgetAndIndexes) {
+  // Four threads hammer a budget of about eight blocks with lookups,
+  // inserts and invalidations over 4 fingerprints x 4 columns. Each block's
+  // values are a function of its key, so a served block is checked whole.
+  constexpr int kThreads = 4;
+  constexpr int kOps = 20'000;
+  constexpr uint64_t kColumns = 4;
+  ResultCache cache(8 * (16 * 2 + 64));
+  const char* const fingerprints[] = {"fa", "fb", "fc", "fd"};
+  auto rows_of = [](int f) { return 8 + 8 * f; };  // 8..32 rows
+  auto values_of = [&](int f, uint64_t column) {
+    return std::vector<uint16_t>(static_cast<size_t>(rows_of(f)),
+                                 static_cast<uint16_t>(f * 16 + column + 1));
+  };
+  std::atomic<int64_t> over_budget{0};
+  std::atomic<int64_t> wrong_blocks{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      uint64_t state = 0x9e3779b97f4a7c15ull * (t + 1);
+      auto next = [&state] {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        return state;
+      };
+      for (int op = 0; op < kOps; ++op) {
+        const uint64_t r = next();
+        const int f = static_cast<int>(r % 4);
+        const uint64_t column = (r >> 8) % kColumns;
+        switch ((r >> 16) % 8) {
+          case 0:
+            cache.InvalidateColumn(column);
+            break;
+          case 1:
+          case 2:
+            cache.Put(fingerprints[f], column, 1, values_of(f, column),
+                      false);
+            break;
+          default: {
+            auto block = cache.Get(fingerprints[f], column, 1, rows_of(f));
+            if (block != nullptr && block->values != values_of(f, column)) {
+              wrong_blocks.fetch_add(1);
+            }
+          }
+        }
+        if (cache.bytes() > cache.max_bytes()) over_budget.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(over_budget.load(), 0);
+  EXPECT_EQ(wrong_blocks.load(), 0);
+  EXPECT_GT(cache.evictions(), cache.invalidations());  // budget pressure
+  // Every resident entry is reachable through its column's index, and the
+  // byte count matches what is resident.
+  for (uint64_t column = 0; column < kColumns; ++column) {
+    cache.InvalidateColumn(column);
+  }
+  EXPECT_EQ(cache.size(), 0);
+  EXPECT_EQ(cache.bytes(), 0);
 }
 
 TEST(ResultCacheTest, InvalidateColumnDropsAllItsVersionsOnly) {

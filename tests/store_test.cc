@@ -641,6 +641,67 @@ TEST(SegmentedEngineTest, EvalSegmentedMatchesResidentEval) {
   EXPECT_EQ(static_cast<int64_t>(bits->size()), before);
 }
 
+TEST(SegmentedEngineTest, AColdPatternsScanKeepsTheHotPatternsBlocks) {
+  // The engine cache holds two patterns' blocks over the column, not
+  // three. After a hot pattern's repeats, a cold pattern's scan would
+  // evict the hot blocks under plain LRU; admission refuses its blocks
+  // instead, so the hot repeat streams no window.
+  Hal hal(TestHal());
+  sched::ResultCache cache(16'000);
+  ColumnStoreEngine::Options options;
+  options.num_threads = 1;
+  options.hal = &hal;
+  options.result_cache = &cache;
+  options.segment_target_bytes = 16 * 1024;
+  ColumnStoreEngine engine(options);
+  ASSERT_TRUE(engine.CreateSegmentedColumn("t", "addr").ok());
+  std::vector<std::string> rows;
+  for (int i = 0; i < 3000; ++i) rows.push_back(RowString(i));
+  ASSERT_TRUE(engine.AppendToSegmented("t", "addr", rows, /*seal=*/true).ok());
+  const SegmentSnapshot snapshot =
+      engine.segmented_column("t", "addr")->Snapshot();
+  const auto windows = static_cast<int64_t>(snapshot.segments.size());
+  ASSERT_GE(windows, 2);
+  int64_t pattern_bytes = 0;  // one pattern's blocks over every window
+  for (const auto& segment : snapshot.segments) {
+    sched::CachedResultBlock block;
+    block.values.resize(static_cast<size_t>(segment->rows()));
+    pattern_bytes += block.bytes();
+  }
+  ASSERT_LE(2 * pattern_bytes, cache.max_bytes());
+  ASSERT_GT(3 * pattern_bytes, cache.max_bytes());
+
+  Bat resident(ValueType::kString, hal.bat_allocator());
+  for (const std::string& row : rows) {
+    ASSERT_TRUE(resident.AppendString(row).ok());
+  }
+  auto scan = [&](const std::string& pattern, const std::string& label) {
+    StringFilterSpec spec;
+    spec.op = StringFilterSpec::Op::kRegexpFpga;
+    spec.pattern = pattern;
+    auto expected = engine.EvalStringFilter(resident, spec, nullptr);
+    EXPECT_TRUE(expected.ok()) << label;
+    QueryStats stats;
+    auto got = engine.EvalSegmentedFilter("t", "addr", spec, &stats);
+    EXPECT_TRUE(got.ok()) << label << ": " << got.status().ToString();
+    if (expected.ok() && got.ok()) {
+      EXPECT_EQ(*got, *expected) << label;
+    }
+    return stats.windows_streamed;
+  };
+  EXPECT_EQ(scan("Strasse", "hot, cold"), windows);
+  EXPECT_EQ(scan("Strasse", "hot, repeat 1"), 0);
+  EXPECT_EQ(scan("Strasse", "hot, repeat 2"), 0);
+  EXPECT_EQ(scan("Gasse", "warm"), windows);  // fills the budget
+  EXPECT_EQ(cache.evictions(), 0);
+  // The cold blocks that do not fit the budget's slack are refused.
+  EXPECT_EQ(scan("Haupt", "cold"), windows);
+  EXPECT_GT(cache.admission_rejects(), 0);
+  EXPECT_EQ(cache.evictions(), 0);
+  EXPECT_EQ(scan("Strasse", "hot, after the cold scan"), 0);
+  EXPECT_EQ(scan("Gasse", "warm, after the cold scan"), 0);
+}
+
 // --- Split plans over segmented columns ------------------------------------
 //
 // QH needs 28 character matchers and the default device holds 24, so
